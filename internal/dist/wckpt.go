@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -96,18 +97,23 @@ type workerCkpt struct {
 	Parent []int32
 }
 
-// writeWorkerCkpt persists the worker's full view at boundary seq.
-func writeWorkerCkpt(dir string, seq uint64, g *graph.Streaming, vals []float64, parent []int32) error {
-	numV := g.NumVertices()
+// encodeWorkerCkpt appends the checkpoint file for the worker's full view
+// at boundary seq to buf, growing it at most once (never, when buf still
+// holds the previous checkpoint's capacity and the graph has not grown).
+func encodeWorkerCkpt(buf []byte, seq uint64, g *graph.Streaming, vals []float64, parent []int32) []byte {
 	var hdr [12]byte
 	binary.LittleEndian.PutUint64(hdr[0:8], seq)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(numV))
-	var buf []byte
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(g.NumVertices()))
+	buf = slices.Grow(buf, wal.SnapFileLen(g, 8+8+8*len(vals)+4*len(parent)))
 	buf = wal.AppendFrame(buf, wal.KindSnapHeader, hdr[:])
-	buf = wal.AppendFrame(buf, wal.KindSnapEdges, wal.EncodeEdges(nil, g.Edges()))
+	buf = wal.AppendEdgesFrame(buf, g)
 	buf = wal.AppendFrame(buf, wal.KindDistCheckpoint, wal.EncodeDistCheckpoint(nil, seq, vals, parent))
-	buf = wal.AppendFrame(buf, wal.KindSnapFooter, hdr[0:8])
+	return wal.AppendFrame(buf, wal.KindSnapFooter, hdr[0:8])
+}
 
+// writeWorkerCkpt atomically and durably persists an encoded checkpoint
+// file for boundary seq.
+func writeWorkerCkpt(dir string, seq uint64, buf []byte) error {
 	tmp := filepath.Join(dir, wckptName(seq)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -220,6 +226,9 @@ type workerStore struct {
 	dir  string
 	opts wal.Options
 	log  *wal.Log
+	// ckptBuf is the checkpoint encode buffer, kept between checkpoints
+	// so each one reuses the previous one's graph-sized allocation.
+	ckptBuf []byte
 }
 
 // openWorkerStore opens (creating if needed) the worker's durable state.
@@ -247,7 +256,8 @@ func (s *workerStore) appendBatch(seq uint64, applied graph.Batch) error {
 // checkpoint writes the checkpoint at seq, applies retention, and truncates
 // the batch log through the older retained checkpoint.
 func (s *workerStore) checkpoint(seq uint64, g *graph.Streaming, vals []float64, parent []int32) error {
-	if err := writeWorkerCkpt(s.dir, seq, g, vals, parent); err != nil {
+	s.ckptBuf = encodeWorkerCkpt(s.ckptBuf[:0], seq, g, vals, parent)
+	if err := writeWorkerCkpt(s.dir, seq, s.ckptBuf); err != nil {
 		return err
 	}
 	seqs, err := listWorkerCkpts(s.dir)

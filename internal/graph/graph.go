@@ -11,7 +11,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dense"
 )
@@ -383,30 +382,35 @@ func (g *Streaming) Clone() *Streaming {
 	return c
 }
 
-// Edges returns all edges in deterministic (src, dst) order. The outer
-// loop already groups edges by ascending source, so only each vertex's
-// span needs ordering — insertion sort on the typically tiny spans instead
-// of one reflective sort over the whole edge list (the difference is
-// visible in the snapshot path, which calls this per checkpoint).
+// Edges returns all edges in deterministic (src, dst) order, the order
+// every snapshot, checkpoint and full welcome serializes (DESIGN.md §4.9).
+// It is one counting-sort pass over EachEdgeRanked: no comparison sort.
 func (g *Streaming) Edges() []Edge {
-	es := make([]Edge, 0, g.m)
-	for v := range g.out {
-		start := len(es)
-		for _, h := range g.out[v] {
-			es = append(es, Edge{Src: VertexID(v), Dst: h.To, W: h.W})
-		}
-		span := es[start:]
-		if len(span) > 32 {
-			sort.Slice(span, func(i, j int) bool { return span[i].Dst < span[j].Dst })
-			continue
-		}
-		for i := 1; i < len(span); i++ {
-			for j := i; j > 0 && span[j].Dst < span[j-1].Dst; j-- {
-				span[j], span[j-1] = span[j-1], span[j]
-			}
+	es := make([]Edge, g.m)
+	g.EachEdgeRanked(func(rank int, e Edge) { es[rank] = e })
+	return es
+}
+
+// EachEdgeRanked calls fn once per edge with the edge's rank in (src, dst)
+// order, in O(V+E) and without sorting. Out-degree prefix sums give each
+// source its span of ranks; walking the in-lists in ascending destination
+// order then fills every span already sorted by destination (the graph is
+// simple, so (src, dst) is a total order). Calls arrive in (dst, src)
+// order, so fn scatters into rank-indexed storage; weights come from the
+// in-lists, which mirror the out-lists exactly (Validate checks it).
+func (g *Streaming) EachEdgeRanked(fn func(rank int, e Edge)) {
+	next := make([]int, len(g.out))
+	rank := 0
+	for v, l := range g.out {
+		next[v] = rank
+		rank += len(l)
+	}
+	for d, l := range g.in {
+		for _, h := range l {
+			fn(next[h.To], Edge{Src: h.To, Dst: VertexID(d), W: h.W})
+			next[h.To]++
 		}
 	}
-	return es
 }
 
 // Validate checks internal consistency (every out-edge has a matching

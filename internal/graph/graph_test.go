@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -77,16 +78,85 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestEdgesSorted(t *testing.T) {
-	g := FromEdges(4, []Edge{{3, 0, 1}, {0, 2, 1}, {0, 1, 1}})
-	es := g.Edges()
-	want := []Edge{{0, 1, 1}, {0, 2, 1}, {3, 0, 1}}
-	if len(es) != len(want) {
-		t.Fatalf("Edges() = %v", es)
+// refEdges is the comparison-sort Edges the counting sort replaced: per
+// source, insertion sort on short out-lists and sort.Slice past 32. It is
+// the reference the equivalence tests hold Edges to.
+func refEdges(g *Streaming) []Edge {
+	es := make([]Edge, 0, g.m)
+	for v := range g.out {
+		start := len(es)
+		for _, h := range g.out[v] {
+			es = append(es, Edge{Src: VertexID(v), Dst: h.To, W: h.W})
+		}
+		span := es[start:]
+		if len(span) > 32 {
+			sort.Slice(span, func(i, j int) bool { return span[i].Dst < span[j].Dst })
+			continue
+		}
+		for i := 1; i < len(span); i++ {
+			for j := i; j > 0 && span[j].Dst < span[j-1].Dst; j-- {
+				span[j], span[j-1] = span[j-1], span[j]
+			}
+		}
 	}
-	for i := range want {
-		if es[i] != want[i] {
-			t.Fatalf("Edges()[%d] = %v, want %v", i, es[i], want[i])
+	return es
+}
+
+// churnedGraph builds a seeded random graph whose adjacency lists are in
+// the order real streams leave them: two hubs with out-lists far past 32
+// (the old sort threshold) and a hub index, lists reordered by
+// swap-deletes, and a quarter of the vertices left without edges.
+func churnedGraph(seed uint64, n int) *Streaming {
+	r := rng.New(seed)
+	g := NewStreaming(n)
+	live := n - n/4 // vertices [live, n) stay empty
+	for i := 0; i < 12*n; i++ {
+		src := VertexID(r.Intn(live))
+		if r.Float64() < 0.3 {
+			src = VertexID(r.Intn(2)) // hubs 0 and 1
+		}
+		g.AddEdge(Edge{Src: src, Dst: VertexID(r.Intn(live)), W: r.Weight(9)})
+	}
+	for _, e := range g.Edges() {
+		if r.Float64() < 0.3 {
+			g.DeleteEdge(e.Src, e.Dst)
+		}
+	}
+	for i := 0; i < 2*n; i++ {
+		g.AddEdge(Edge{Src: VertexID(r.Intn(2)), Dst: VertexID(r.Intn(live)), W: r.Weight(9)})
+	}
+	return g
+}
+
+func TestEdgesSorted(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *Streaming
+		want []Edge // nil: refEdges(g)
+		hub  bool   // vertex 0's out-list must pass the old sort threshold
+	}{
+		{"tiny", FromEdges(4, []Edge{{3, 0, 1}, {0, 2, 1}, {0, 1, 1}}), []Edge{{0, 1, 1}, {0, 2, 1}, {3, 0, 1}}, false},
+		{"empty", NewStreaming(5), []Edge{}, false},
+		{"churned-small", churnedGraph(1, 40), nil, false},
+		{"churned-hubs", churnedGraph(2, 300), nil, true},
+		{"churned-hubs-2", churnedGraph(3, 1000), nil, true},
+	}
+	for _, tc := range cases {
+		want := tc.want
+		if want == nil {
+			want = refEdges(tc.g)
+		}
+		if tc.hub && tc.g.OutDegree(0) <= 32 {
+			t.Fatalf("%s: hub out-degree %d never passed the old sort threshold", tc.name, tc.g.OutDegree(0))
+		}
+		es := tc.g.Edges()
+		if len(es) != len(want) || len(es) != tc.g.NumEdges() {
+			t.Fatalf("%s: Edges() has %d edges, want %d", tc.name, len(es), len(want))
+		}
+		for i := range want {
+			if es[i] != want[i] {
+				t.Fatalf("%s: Edges()[%d] = %v, want %v", tc.name, i, es[i], want[i])
+			}
 		}
 	}
 }
@@ -251,4 +321,20 @@ func BenchmarkApplyBatchParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.Clone().ApplyBatchParallel(batch, 0)
 	}
+}
+
+// BenchmarkEdges compares the counting-sort Edges with the comparison-sort
+// reference on a hub-skewed, churned graph (~600k edges).
+func BenchmarkEdges(b *testing.B) {
+	g := churnedGraph(7, 50000)
+	b.Run("counting", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			g.Edges()
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			refEdges(g)
+		}
+	})
 }

@@ -79,13 +79,13 @@ func TestHubIndexedMatchesScan(t *testing.T) {
 			if err := scan.Validate(); err != nil {
 				t.Fatalf("hubFrac %v round %d: scan graph invalid: %v", hubFrac, round, err)
 			}
-			e1, e2 := idxed.Edges(), scan.Edges()
-			if len(e1) != len(e2) {
-				t.Fatalf("hubFrac %v round %d: %d vs %d edges", hubFrac, round, len(e1), len(e2))
+			e1, e2, ref := idxed.Edges(), scan.Edges(), refEdges(scan)
+			if len(e1) != len(e2) || len(e1) != len(ref) {
+				t.Fatalf("hubFrac %v round %d: %d vs %d vs %d (reference) edges", hubFrac, round, len(e1), len(e2), len(ref))
 			}
 			for i := range e1 {
-				if e1[i] != e2[i] {
-					t.Fatalf("hubFrac %v round %d: edge %d: %v vs %v", hubFrac, round, i, e1[i], e2[i])
+				if e1[i] != e2[i] || e1[i] != ref[i] {
+					t.Fatalf("hubFrac %v round %d: edge %d: %v vs %v vs %v (reference)", hubFrac, round, i, e1[i], e2[i], ref[i])
 				}
 			}
 		}

@@ -13,6 +13,14 @@ import (
 // both ways through the injector's fault mix. Killing the injected leg
 // tears down the whole relayed connection, so both endpoints observe the
 // fault — exactly what a mid-stream reset does in production.
+//
+// A reset may land before the session's first byte: the proxy accepts the
+// connection, and its first relayed operation can already draw a reset.
+// The client then sees the RST either on its first read or write, or —
+// when it arrives before the client's non-blocking connect has completed —
+// as a dial error. All three are legitimate outcomes of a reset-heavy mix
+// (ResetProb 1 makes the early one likely), and callers must treat a
+// failed dial like any other dead session.
 type Proxy struct {
 	Target string // dial address of the real endpoint
 	In     *Injector

@@ -19,6 +19,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -124,14 +125,36 @@ func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
 	if n < 1 || n > MaxFrameLen {
 		return 0, nil, ErrCorrupt
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, int(n))
+	if err != nil {
 		return 0, nil, ErrTorn
 	}
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
 		return 0, nil, ErrCorrupt
 	}
 	return body[0], body[1:], nil
+}
+
+// frameChunk is the largest frame body ReadFrame allocates up front.
+// Beyond it the body grows by doubling as bytes arrive, so a declared
+// length — up to MaxFrameLen — never allocates much more than the input
+// actually delivered (a torn file or a trickling peer owns only what it
+// sent).
+const frameChunk = 64 << 10
+
+// readBody reads exactly n bytes from r under frameChunk's allocation rule.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	b := make([]byte, 0, min(n, frameChunk))
+	for len(b) < n {
+		k := min(n-len(b), max(len(b), frameChunk))
+		b = slices.Grow(b, k)
+		got, err := io.ReadFull(r, b[len(b):len(b)+k])
+		b = b[:len(b)+got]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // --- payload codecs ---
@@ -236,32 +259,54 @@ func DecodeDistCheckpoint(p []byte, numVals, numV int) (seq uint64, vals []float
 	return seq, vals, parent, err
 }
 
-// EncodeEdges encodes an edge list (a snapshot's graph section).
-func EncodeEdges(buf []byte, edges []graph.Edge) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(edges)))
-	for _, e := range edges {
-		buf = binary.LittleEndian.AppendUint32(buf, e.Src)
-		buf = binary.LittleEndian.AppendUint32(buf, e.Dst)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.W))
-	}
+// edgeRecLen is one encoded edge: [4B src][4B dst][8B weight bits].
+const edgeRecLen = 4 + 4 + 8
+
+// edgesFrameLen is the encoded size of g's KindSnapEdges frame, so a
+// writer can size its buffer once.
+func edgesFrameLen(g *graph.Streaming) int {
+	return frameHeaderLen + 1 + 4 + edgeRecLen*g.NumEdges()
+}
+
+// AppendEdgesFrame appends g's edge list (a snapshot's graph section) as
+// one KindSnapEdges frame: payload [4B count] then one record per edge in
+// (src, dst) order. It encodes straight from the adjacency into buf in one
+// counting-sort pass (graph.EachEdgeRanked) — no intermediate edge list,
+// no second copy of the payload — and produces the same bytes as
+// AppendFrame over the encoded g.Edges().
+func AppendEdgesFrame(buf []byte, g *graph.Streaming) []byte {
+	start, n := len(buf), edgesFrameLen(g)
+	buf = slices.Grow(buf, n)[:start+n]
+	f := buf[start:]
+	putU32(f[0:4], uint32(n-frameHeaderLen))
+	f[frameHeaderLen] = KindSnapEdges
+	p := f[frameHeaderLen+1:]
+	putU32(p[0:4], uint32(g.NumEdges()))
+	recs := p[4:]
+	g.EachEdgeRanked(func(rank int, e graph.Edge) {
+		r := recs[rank*edgeRecLen : (rank+1)*edgeRecLen]
+		putU32(r[0:4], e.Src)
+		putU32(r[4:8], e.Dst)
+		putU64(r[8:16], math.Float64bits(e.W))
+	})
+	putU32(f[4:8], crc32.Checksum(f[frameHeaderLen:], castagnoli))
 	return buf
 }
 
-// DecodeEdges decodes EncodeEdges's payload, rejecting edges whose
-// endpoints fall outside [0, numV).
+// DecodeEdges decodes the payload of AppendEdgesFrame's frame, rejecting
+// edges whose endpoints fall outside [0, numV).
 func DecodeEdges(p []byte, numV int) ([]graph.Edge, error) {
-	const edgeLen = 4 + 4 + 8
 	if len(p) < 4 {
 		return nil, fmt.Errorf("%w: edge payload %d bytes", ErrCorrupt, len(p))
 	}
 	n := int(binary.LittleEndian.Uint32(p[0:4]))
 	p = p[4:]
-	if n < 0 || len(p) != n*edgeLen {
+	if n < 0 || len(p) != n*edgeRecLen {
 		return nil, fmt.Errorf("%w: edge list declares %d edges, %d bytes follow", ErrCorrupt, n, len(p))
 	}
 	edges := make([]graph.Edge, n)
 	for i := range edges {
-		rec := p[i*edgeLen:]
+		rec := p[i*edgeRecLen:]
 		e := graph.Edge{
 			Src: binary.LittleEndian.Uint32(rec[0:4]),
 			Dst: binary.LittleEndian.Uint32(rec[4:8]),

@@ -88,18 +88,26 @@ func writeSnapshotWith(opts Options, seq uint64, g *graph.Streaming, vals []floa
 	if _, err := opts.fire("snapshot.write"); err != nil {
 		return err
 	}
-	var buf []byte
 	var hdr [12]byte
 	putU64(hdr[0:8], seq)
 	putU32(hdr[8:12], uint32(g.NumVertices()))
+	buf := make([]byte, 0, SnapFileLen(g, 8+8*len(vals)+4*len(parent)))
 	buf = AppendFrame(buf, KindSnapHeader, hdr[:])
-	buf = AppendFrame(buf, KindSnapEdges, EncodeEdges(nil, g.Edges()))
+	buf = AppendEdgesFrame(buf, g)
 	buf = AppendFrame(buf, KindSnapState, EncodeState(nil, vals, parent))
 	if dedup != nil {
 		buf = AppendFrame(buf, KindSnapDedup, dedup.Encode(nil, seq))
 	}
 	buf = AppendFrame(buf, KindSnapFooter, hdr[0:8])
 	return writeSnapshotFile(opts, seq, buf)
+}
+
+// SnapFileLen is the encoded size of a snapshot-layout file for g —
+// header, edges, a state frame carrying stateLen payload bytes, footer —
+// so a writer sizes its buffer once. Worker checkpoints (internal/dist)
+// share the layout; an optional dedup frame adds to it.
+func SnapFileLen(g *graph.Streaming, stateLen int) int {
+	return (frameHeaderLen + 1 + 12) + edgesFrameLen(g) + (frameHeaderLen + 1 + stateLen) + (frameHeaderLen + 1 + 8)
 }
 
 // writeSnapshotFile is the shared atomic-and-durable tail of every snapshot

@@ -31,12 +31,12 @@ func WriteAccSnapshot(opts Options, seq uint64, g *graph.Streaming, st *engine.A
 	if _, err := opts.fire("snapshot.write"); err != nil {
 		return err
 	}
-	var buf []byte
 	var hdr [12]byte
 	putU64(hdr[0:8], seq)
 	putU32(hdr[8:12], uint32(g.NumVertices()))
+	buf := make([]byte, 0, SnapFileLen(g, 8+8*(len(st.State)+len(st.Agg)+len(st.LastUnit))))
 	buf = AppendFrame(buf, KindSnapHeader, hdr[:])
-	buf = AppendFrame(buf, KindSnapEdges, EncodeEdges(nil, g.Edges()))
+	buf = AppendEdgesFrame(buf, g)
 	buf = AppendFrame(buf, KindSnapAccState, EncodeAccState(nil, g.NumVertices(), st))
 	buf = AppendFrame(buf, KindSnapFooter, hdr[0:8])
 	return writeSnapshotFile(opts, seq, buf)

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Repo verification: formatting, build, vet, race-enabled tests, a seeded
-# WAL crash-recovery smoke, a durable-CLI recovery smoke, a seeded chaos
-# smoke run of the fault-tolerant distributed runtime, a graphflyd serving
-# smoke (concurrent ingest+query, SIGTERM, restart, dump vs single-shot
-# oracle), and a bench smoke that emits and schema-validates the
-# machine-readable report. Run from anywhere.
+# Repo verification: formatting, build, vet, race-enabled tests, a
+# shuffled flake sweep over the fast packages, a short fuzz of the
+# snapshot/checkpoint decoders, a seeded WAL crash-recovery smoke, a
+# durable-CLI recovery smoke, a seeded chaos smoke run of the
+# fault-tolerant distributed runtime, a graphflyd serving smoke (concurrent
+# ingest+query, SIGTERM, restart, dump vs single-shot oracle), and a bench
+# smoke that emits and schema-validates the machine-readable report. Run
+# from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,6 +26,18 @@ go vet ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== flake sweep (fast packages, 3 shuffled passes) =="
+go test -count=3 -shuffle=on ./internal/graph ./internal/dflow ./internal/wal \
+    ./internal/netfault ./internal/dense
+
+echo "== decoder fuzz smoke (edge payloads, snapshot and worker checkpoint files) =="
+# Each target must return an error or a consistent value on any input —
+# never panic, never allocate past what the input's size justifies.
+for target in FuzzDecodeEdges FuzzReadSnapshot; do
+    go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s ./internal/wal
+done
+go test -run '^$' -fuzz '^FuzzReadWorkerCkpt$' -fuzztime 5s ./internal/dist
 
 echo "== crash-recovery smoke (seeded WAL crash point + oracle check) =="
 go test -race -run 'TestCrashRecoverySmoke' -count=1 ./internal/wal
