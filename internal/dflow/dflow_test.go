@@ -1,6 +1,7 @@
 package dflow
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -99,6 +100,137 @@ func TestPartitionCoversRealGraph(t *testing.T) {
 	}
 }
 
+// refNewPartition is the map-based NewPartition the CSR build replaced,
+// kept as the equivalence reference.
+func refNewPartition(f *etree.Forest, cap int) *Partition {
+	if cap <= 0 {
+		cap = DefaultCap
+	}
+	n := f.N()
+	p := &Partition{
+		FlowOf: make([]int32, n),
+		Cap:    cap,
+	}
+	for i := range p.FlowOf {
+		p.FlowOf[i] = -1
+	}
+	members := make(map[int32][]uint32)
+	for v := 0; v < n; v++ {
+		r := f.Rep(graph.VertexID(v))
+		members[r] = append(members[r], uint32(v))
+	}
+	chosenParent := make(map[int32]int32)
+	children := make(map[int32][]int32)
+	for v := 0; v < n; v++ {
+		l := f.Link(graph.VertexID(v))
+		if l == -1 {
+			continue
+		}
+		r, lr := f.Rep(graph.VertexID(v)), f.Rep(graph.VertexID(l))
+		if r == lr {
+			continue
+		}
+		if _, ok := chosenParent[r]; !ok {
+			chosenParent[r] = lr
+			children[lr] = append(children[lr], r)
+		}
+	}
+	visited := make(map[int32]bool, len(members))
+	var cur []uint32
+	flush := func() {
+		if len(cur) > 0 {
+			p.Flows = append(p.Flows, cur)
+			cur = nil
+		}
+	}
+	dfs := func(root int32) {
+		stack := []int32{root}
+		for len(stack) > 0 {
+			r := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if visited[r] {
+				continue
+			}
+			visited[r] = true
+			for _, v := range members[r] {
+				if len(cur) >= cap {
+					flush()
+				}
+				cur = append(cur, v)
+			}
+			stack = append(stack, children[r]...)
+		}
+	}
+	for v := 0; v < n; v++ {
+		r := f.Rep(graph.VertexID(v))
+		if _, hasParent := chosenParent[r]; !hasParent && !visited[r] {
+			dfs(r)
+		}
+	}
+	for v := 0; v < n; v++ {
+		r := f.Rep(graph.VertexID(v))
+		if !visited[r] {
+			dfs(r)
+		}
+	}
+	flush()
+	for fi, flow := range p.Flows {
+		for _, v := range flow {
+			p.FlowOf[v] = int32(fi)
+		}
+	}
+	return p
+}
+
+// equivGraphs returns seeded RMAT, BA and ER graphs plus two degenerate
+// shapes (no edges; disjoint chains) for the equivalence tests.
+func equivGraphs() map[string]*graph.Streaming {
+	gs := map[string]*graph.Streaming{
+		"empty":    graph.NewStreaming(0),
+		"edgeless": graph.NewStreaming(40),
+		"chains":   graph.NewStreaming(60),
+	}
+	for c := 0; c < 6; c++ {
+		for i := 0; i < 9; i++ {
+			u := graph.VertexID(10*c + i)
+			gs["chains"].AddEdge(graph.Edge{Src: u, Dst: u + 1, W: 1})
+		}
+	}
+	for seed, cfg := range []gen.Config{
+		{Kind: gen.RMAT, NumV: 1500, NumE: 12000},
+		{Kind: gen.BA, NumV: 1500, NumE: 9000},
+		{Kind: gen.ER, NumV: 1500, NumE: 6000},
+	} {
+		cfg.Seed = uint64(seed + 11)
+		gs[cfg.Kind.String()] = graph.FromEdges(cfg.NumV, gen.Generate(cfg))
+	}
+	return gs
+}
+
+// TestPartitionMatchesReference holds the CSR forest partition to the
+// map-based reference — Flows and FlowOf identical — on seeded RMAT, BA and
+// ER graphs and degenerate shapes, over both forest directions and caps of
+// 1, 7, the default, n and past n.
+func TestPartitionMatchesReference(t *testing.T) {
+	for name, g := range equivGraphs() {
+		n := g.NumVertices()
+		for _, dir := range []etree.Direction{etree.Forward, etree.Backward} {
+			f := etree.NewForest(g, dir)
+			for _, cap := range []int{1, 7, 0, DefaultCap, n, n + 5} {
+				got := NewPartition(f, cap)
+				want := refNewPartition(f, cap)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/dir=%d/cap=%d: partition differs from reference:\n got %v\nwant %v",
+						name, dir, cap, got.Flows, want.Flows)
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatalf("%s/dir=%d/cap=%d: %v", name, dir, cap, err)
+				}
+			}
+		}
+	}
+}
+
 func TestFlowGraphCrossEdges(t *testing.T) {
 	g := chainGraph(4) // flows {0,1} and {2,3} with cap 2
 	f := etree.NewForest(g, etree.Forward)
@@ -154,24 +286,6 @@ func TestFlowGraphIntraFlowIgnored(t *testing.T) {
 		if fg.OutDegree(fi) != 0 {
 			t.Fatalf("intra-flow edges leaked into the flow graph at %d", fi)
 		}
-	}
-}
-
-func TestReach(t *testing.T) {
-	// Three flows in a line: A -> B -> C.
-	g := chainGraph(6)
-	f := etree.NewForest(g, etree.Forward)
-	p := NewPartition(f, 2)
-	fg := NewFlowGraph(g, p)
-	a := p.Flow(0)
-	r := fg.Reach([]int32{a}, 0)
-	if len(r) != 3 {
-		t.Fatalf("Reach from head = %v, want all 3 flows", r)
-	}
-	c := p.Flow(5)
-	r = fg.Reach([]int32{c}, 0)
-	if len(r) != 1 || !r[c] {
-		t.Fatalf("Reach from tail = %v", r)
 	}
 }
 
@@ -295,13 +409,48 @@ func TestSchedulePropertyTopological(t *testing.T) {
 	}
 }
 
-func BenchmarkPartitionBuild(b *testing.B) {
+// benchGraph is a 20k-vertex, 160k-edge RMAT graph for the benchmarks.
+func benchGraph() *graph.Streaming {
 	cfg := gen.TestDataset(1)
 	cfg.NumV, cfg.NumE = 20000, 160000
-	g := graph.FromEdges(cfg.NumV, gen.Generate(cfg))
-	f := etree.NewForest(g, etree.Forward)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewPartition(f, DefaultCap)
-	}
+	return graph.FromEdges(cfg.NumV, gen.Generate(cfg))
+}
+
+// BenchmarkPartitionBuild compares the CSR forest partition with the
+// map-based reference.
+func BenchmarkPartitionBuild(b *testing.B) {
+	f := etree.NewForest(benchGraph(), etree.Forward)
+	b.Run("csr", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewPartition(f, DefaultCap)
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			refNewPartition(f, DefaultCap)
+		}
+	})
+}
+
+// BenchmarkFlowGraphRebuild compares the counting Rebuild (reused buffers,
+// as engines call it at repartition) with the sort-based reference.
+func BenchmarkFlowGraphRebuild(b *testing.B) {
+	g := benchGraph()
+	p := NewPartition(etree.NewForest(g, etree.Forward), DefaultCap)
+	b.Run("counting", func(b *testing.B) {
+		fg := NewFlowGraph(g, p)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fg.Rebuild(g, p)
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			refRebuild(g, p)
+		}
+	})
 }

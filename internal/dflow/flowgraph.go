@@ -37,8 +37,8 @@ type FlowGraph struct {
 	outOvf []map[int32]int32 // novel pairs since the last rebuild
 	inOvf  []map[int32]int32
 
-	rowLen []int32 // rebuild scratch: per-flow cross-edge count, then cursor
-	tmpDst []int32 // rebuild scratch: flattened unsorted rows
+	cnt []int32 // rebuild scratch: per-destination-flow count, then in-row cursor
+	row []int32 // rebuild scratch: distinct destination flows of one row
 }
 
 // NewFlowGraph indexes every cross-flow edge of g under partition part.
@@ -62,7 +62,7 @@ func (fg *FlowGraph) sizeFor(n int) {
 	fg.outPtr = resetI32(fg.outPtr, n+1)
 	fg.inPtr = resetI32(fg.inPtr, n+1)
 	fg.outDeg = resetI32(fg.outDeg, n)
-	fg.rowLen = resetI32(fg.rowLen, n)
+	fg.cnt = resetI32(fg.cnt, n)
 	fg.outDst = fg.outDst[:0]
 	fg.outCnt = fg.outCnt[:0]
 	fg.inSrc = fg.inSrc[:0]
@@ -98,75 +98,47 @@ func resetOvf(s []map[int32]int32, n int) []map[int32]int32 {
 
 // Rebuild re-indexes every cross-flow edge of g under part, reusing the
 // receiver's buffers. Engines call this at repartition instead of
-// allocating a fresh FlowGraph.
+// allocating a fresh FlowGraph. Each source flow's members are walked once:
+// a dense per-destination-flow counter accumulates the row, the row's
+// distinct flows (at most NumFlows) are sorted, emitted and their counters
+// reset, so the cost is O(V+E) plus sorting each row's distinct flows.
 func (fg *FlowGraph) Rebuild(g *graph.Streaming, part *Partition) {
 	fg.part = part
 	nf := part.NumFlows()
 	fg.sizeFor(nf)
 
-	// Pass 1: count cross edges per source flow (duplicates included).
-	total := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		fu := part.Flow(graph.VertexID(v))
-		for _, h := range g.Out(graph.VertexID(v)) {
-			if part.Flow(h.To) != fu {
-				fg.rowLen[fu]++
-				total++
+	cnt, row := fg.cnt, fg.row[:0] // cnt is all zero between rows
+	for f, members := range part.Flows {
+		row = row[:0]
+		for _, v := range members {
+			for _, h := range g.Out(v) {
+				if d := part.FlowOf[h.To]; d != int32(f) {
+					if cnt[d] == 0 {
+						row = append(row, d)
+					}
+					cnt[d]++
+				}
 			}
 		}
-	}
-	// Pass 2: flatten destination flows per row.
-	if cap(fg.tmpDst) < total {
-		fg.tmpDst = make([]int32, total)
-	}
-	fg.tmpDst = fg.tmpDst[:total]
-	cur := fg.outPtr // reuse as cursor array; rewritten below
-	pos := int32(0)
-	for f := 0; f < nf; f++ {
-		cur[f] = pos
-		pos += fg.rowLen[f]
-		fg.rowLen[f] = cur[f] // remember row start for the RLE pass
-	}
-	cur[nf] = pos
-	for v := 0; v < g.NumVertices(); v++ {
-		fu := part.Flow(graph.VertexID(v))
-		for _, h := range g.Out(graph.VertexID(v)) {
-			if fv := part.Flow(h.To); fv != fu {
-				fg.tmpDst[cur[fu]] = fv
-				cur[fu]++
-			}
-		}
-	}
-	// Pass 3: sort each row and run-length-encode into the out CSR. After
-	// pass 2, cur[f] is the row end and rowLen[f] the row start.
-	for f := 0; f < nf; f++ {
-		lo, hi := fg.rowLen[f], cur[f]
-		row := fg.tmpDst[lo:hi]
 		slices.Sort(row)
 		fg.outPtr[f] = int32(len(fg.outDst))
-		for i := 0; i < len(row); {
-			j := i + 1
-			for j < len(row) && row[j] == row[i] {
-				j++
-			}
-			fg.outDst = append(fg.outDst, row[i])
-			fg.outCnt = append(fg.outCnt, int32(j-i))
-			i = j
+		fg.outDeg[f] = int32(len(row))
+		for _, d := range row {
+			fg.outDst = append(fg.outDst, d)
+			fg.outCnt = append(fg.outCnt, cnt[d])
+			cnt[d] = 0
 		}
-		fg.outDeg[f] = int32(len(fg.outDst)) - fg.outPtr[f]
 	}
 	fg.outPtr[nf] = int32(len(fg.outDst))
+	fg.row = row
 
 	// Reverse index: walking out-rows in ascending f appends sources to
 	// each in-row already sorted, so no per-row sort is needed.
-	inLen := fg.rowLen // reuse scratch as in-row counters
-	for i := range inLen {
-		inLen[i] = 0
-	}
+	inLen := cnt // reuse the (all-zero) counters as in-row cursors
 	for _, g := range fg.outDst {
 		inLen[g]++
 	}
-	pos = 0
+	pos := int32(0)
 	for f := 0; f < nf; f++ {
 		fg.inPtr[f] = pos
 		pos += inLen[f]
@@ -313,32 +285,3 @@ func (fg *FlowGraph) InFlows(f int32, fn func(g int32)) {
 
 // OutDegree returns the number of downstream flows of f.
 func (fg *FlowGraph) OutDegree(f int32) int { return int(fg.outDeg[f]) }
-
-// Reach returns the set of flows reachable from the seeds (seeds included),
-// following downstream edges, capped at limit flows (limit <= 0 means no
-// cap). This is the impacted-flow discovery of §V-A: the flows a batch of
-// updates can possibly influence.
-func (fg *FlowGraph) Reach(seeds []int32, limit int) map[int32]bool {
-	seen := make(map[int32]bool, len(seeds))
-	queue := make([]int32, 0, len(seeds))
-	for _, s := range seeds {
-		if !seen[s] {
-			seen[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		if limit > 0 && len(seen) >= limit {
-			break
-		}
-		f := queue[0]
-		queue = queue[1:]
-		fg.OutFlows(f, func(g int32) {
-			if !seen[g] {
-				seen[g] = true
-				queue = append(queue, g)
-			}
-		})
-	}
-	return seen
-}

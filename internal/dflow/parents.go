@@ -31,9 +31,7 @@ func NewPartitionFromParents(parent []int32, cap int) *Partition {
 			off[pa+1]++
 		}
 	}
-	for u := 0; u < n; u++ {
-		off[u+1] += off[u]
-	}
+	prefixSum(off)
 	kids := make([]int32, off[n])
 	fill := slices.Clone(off[:n])
 	for v, pa := range parent {

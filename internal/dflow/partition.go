@@ -7,6 +7,8 @@
 package dflow
 
 import (
+	"slices"
+
 	"repro/internal/etree"
 	"repro/internal/graph"
 )
@@ -42,58 +44,59 @@ func NewPartition(f *etree.Forest, cap int) *Partition {
 		FlowOf: make([]int32, n),
 		Cap:    cap,
 	}
-	for i := range p.FlowOf {
-		p.FlowOf[i] = -1
+	rep := make([]int32, n)
+	for v := range rep {
+		rep[v] = f.Rep(graph.VertexID(v))
 	}
 
-	// Group vertices by hyper representative, preserving ID order inside
-	// each hyper vertex.
-	members := make(map[int32][]uint32)
-	for v := 0; v < n; v++ {
-		r := f.Rep(graph.VertexID(v))
-		members[r] = append(members[r], uint32(v))
+	// Members grouped by hyper representative in CSR form, ascending vertex
+	// order inside each hyper vertex: mem[mOff[r]:mOff[r+1]].
+	mOff := make([]int32, n+1)
+	for _, r := range rep {
+		mOff[r+1]++
+	}
+	prefixSum(mOff)
+	mem := make([]uint32, n)
+	fill := slices.Clone(mOff[:n])
+	for v, r := range rep {
+		mem[fill[r]] = uint32(v)
+		fill[r]++
 	}
 
 	// Condensed tree structure over hyper nodes: each hyper node gets at
 	// most one chosen parent (the hyper of the smallest member link that
-	// leaves the node). Children lists drive the packing DFS.
-	chosenParent := make(map[int32]int32)
-	children := make(map[int32][]int32)
-	for v := 0; v < n; v++ {
+	// leaves the node). Child lists, in the order the children were
+	// discovered, drive the packing DFS: kids[cOff[r]:cOff[r+1]].
+	chosen := make([]int32, n)
+	for i := range chosen {
+		chosen[i] = -1
+	}
+	found := make([]int32, 0, 64) // hyper nodes in discovery order
+	cOff := make([]int32, n+1)
+	for v, r := range rep {
 		l := f.Link(graph.VertexID(v))
-		if l == -1 {
+		if l == -1 || rep[l] == r || chosen[r] != -1 {
 			continue
 		}
-		r, lr := f.Rep(graph.VertexID(v)), f.Rep(graph.VertexID(l))
-		if r == lr {
-			continue
-		}
-		if _, ok := chosenParent[r]; !ok {
-			chosenParent[r] = lr
-			children[lr] = append(children[lr], r)
-		}
+		chosen[r] = rep[l]
+		found = append(found, r)
+		cOff[rep[l]+1]++
+	}
+	prefixSum(cOff)
+	kids := make([]int32, len(found))
+	copy(fill, cOff[:n])
+	for _, r := range found {
+		kids[fill[chosen[r]]] = r
+		fill[chosen[r]]++
 	}
 
-	visited := make(map[int32]bool, len(members))
-	var cur []uint32
-	flush := func() {
-		if len(cur) > 0 {
-			p.Flows = append(p.Flows, cur)
-			cur = nil
-		}
-	}
-	packNode := func(r int32) {
-		for _, v := range members[r] {
-			if len(cur) >= cap {
-				flush()
-			}
-			cur = append(cur, v)
-		}
-	}
 	// Iterative DFS over the condensed tree: pack the node, then descend
 	// into children so a root and its subtree stay flow-contiguous.
+	visited := make([]bool, n)
+	packed := make([]uint32, 0, n)
+	stack := make([]int32, 0, 64)
 	dfs := func(root int32) {
-		stack := []int32{root}
+		stack = append(stack[:0], root)
 		for len(stack) > 0 {
 			r := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -101,8 +104,8 @@ func NewPartition(f *etree.Forest, cap int) *Partition {
 				continue
 			}
 			visited[r] = true
-			packNode(r)
-			stack = append(stack, children[r]...)
+			packed = append(packed, mem[mOff[r]:mOff[r+1]]...)
+			stack = append(stack, kids[cOff[r]:cOff[r+1]]...)
 		}
 	}
 
@@ -111,26 +114,35 @@ func NewPartition(f *etree.Forest, cap int) *Partition {
 	// Small trees share flows: PROPERTY 1 guarantees sibling subtrees are
 	// independent, so colocating them is safe, and it avoids degenerate
 	// dust flows whose boundary traffic would dominate scheduling.
-	for v := 0; v < n; v++ {
-		r := f.Rep(graph.VertexID(v))
-		if _, hasParent := chosenParent[r]; !hasParent && !visited[r] {
+	for _, r := range rep {
+		if chosen[r] == -1 && !visited[r] {
 			dfs(r)
 		}
 	}
-	for v := 0; v < n; v++ {
-		r := f.Rep(graph.VertexID(v))
+	for _, r := range rep {
 		if !visited[r] {
 			dfs(r)
 		}
 	}
-	flush()
 
-	for fi, flow := range p.Flows {
-		for _, v := range flow {
-			p.FlowOf[v] = int32(fi)
+	// Flows are consecutive cap-sized windows of the pack order, all views
+	// of one backing slice.
+	for start := 0; start < n; start += cap {
+		end := min(start+cap, n)
+		fi := int32(len(p.Flows))
+		for _, v := range packed[start:end] {
+			p.FlowOf[v] = fi
 		}
+		p.Flows = append(p.Flows, packed[start:end:end])
 	}
 	return p
+}
+
+// prefixSum turns per-slot counts in off[1:] into CSR row offsets.
+func prefixSum(off []int32) {
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
 }
 
 // NumFlows returns the number of flows.

@@ -139,21 +139,27 @@ func (t *DedupTable) Encode(buf []byte, maxWalSeq uint64) []byte {
 }
 
 // DecodeDedupTable decodes Encode's payload with the codec package's usual
-// strictness: every length is validated before allocation.
+// strictness: every length is validated before allocation. Client ids must
+// be nonempty and strictly ascending, as Encode writes them; a repeated id
+// would otherwise silently replace the earlier client's window.
 func DecodeDedupTable(p []byte) (*DedupTable, error) {
 	d := Dec{B: p}
 	window := int(d.U32())
 	n := int(d.U32())
-	if d.Bad() || window < 1 || window > 1<<20 || n < 0 || n > 1<<20 {
+	// A client takes at least 9 bytes (id length, a 1-byte id, entry
+	// count), so n is checked against the rest before sizing the map.
+	if d.Bad() || window < 1 || window > 1<<20 || n < 0 || n > 1<<20 || n > len(d.B)/9 {
 		return nil, fmt.Errorf("%w: dedup table header", ErrCorrupt)
 	}
-	t := NewDedupTable(window)
+	t := &DedupTable{window: window, m: make(map[string][]dedupEntry, n)}
+	prevID := ""
 	for i := 0; i < n; i++ {
 		id := d.Str()
 		cnt := d.Count(16)
-		if d.Bad() || id == "" || len(id) > maxClientIDLen || cnt > window {
+		if d.Bad() || id <= prevID || len(id) > maxClientIDLen || cnt > window {
 			return nil, fmt.Errorf("%w: dedup table client %d", ErrCorrupt, i)
 		}
+		prevID = id
 		es := make([]dedupEntry, cnt)
 		var prev uint64
 		for j := range es {

@@ -15,7 +15,8 @@
 // and alloc-bytes/batch (the runtime.ReadMemStats deltas cmd/bench -json
 // samples) and exits nonzero when the new report's allocation rate grew
 // more than -allocslack over the old one — the CI allocation-regression
-// gate for the zero-allocation batch path.
+// gate for the zero-allocation batch path. Allocation counts depend on
+// GOMAXPROCS, so the gate refuses two reports taken at different values.
 package main
 
 import (
@@ -117,8 +118,11 @@ func meanAllocs(r expr.Report) (allocs, bytes float64, n int) {
 
 // gateAllocs enforces the allocation-regression budget: the new report's
 // mean allocs/batch and bytes/batch must not exceed the old report's by
-// more than slack (relative).
+// more than slack (relative). Both reports must share GOMAXPROCS.
 func gateAllocs(oldR, newR expr.Report, slack float64) error {
+	if op, np := oldR.Env.GOMAXPROCS, newR.Env.GOMAXPROCS; op != np {
+		return fmt.Errorf("allocgate: reports taken at GOMAXPROCS %d and %d; allocs/batch depend on it, so rerun the new report with GOMAXPROCS=%d", op, np, op)
+	}
 	oa, ob, on := meanAllocs(oldR)
 	na, nb, nn := meanAllocs(newR)
 	if on == 0 || nn == 0 {

@@ -31,10 +31,11 @@ echo "== flake sweep (fast packages, 3 shuffled passes) =="
 go test -count=3 -shuffle=on ./internal/graph ./internal/dflow ./internal/wal \
     ./internal/netfault ./internal/dense
 
-echo "== decoder fuzz smoke (edge payloads, snapshot and worker checkpoint files) =="
+echo "== decoder fuzz smoke (WAL records, snapshot and worker checkpoint files) =="
 # Each target must return an error or a consistent value on any input —
 # never panic, never allocate past what the input's size justifies.
-for target in FuzzDecodeEdges FuzzReadSnapshot; do
+for target in FuzzDecodeEdges FuzzReadSnapshot FuzzDecodeBatch FuzzDecodeTaggedBatch \
+    FuzzDecodeDedupTable; do
     go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s ./internal/wal
 done
 go test -run '^$' -fuzz '^FuzzReadWorkerCkpt$' -fuzztime 5s ./internal/dist
@@ -185,8 +186,8 @@ trap - EXIT
 echo "== bench smoke (machine-readable report + schema validation) =="
 benchtmp=$(mktemp -d)
 trap 'rm -rf "$benchtmp"' EXIT
-# Figure set and scale must match the committed BENCH_graphfly.json so the
-# alloc gate below compares like with like.
+# Figure set and scale match the committed BENCH_graphfly.json; the alloc
+# gate below reruns them at the baseline's GOMAXPROCS.
 go run ./cmd/bench -json -fig 11,s7 -edgecap 8000 -batch 500 -batches 2 \
     -out "$benchtmp/BENCH_graphfly.json" > "$benchtmp/bench.out"
 go run ./scripts/benchdiff -check "$benchtmp/BENCH_graphfly.json"
@@ -216,6 +217,13 @@ if awk '$1 == "ER-uniform" && $(NF-2) > 0 { exit 1 }' "$benchtmp/bench.out"; the
 fi
 
 echo "== alloc gate (fresh smoke vs committed BENCH_graphfly.json) =="
-go run ./scripts/benchdiff -allocgate BENCH_graphfly.json "$benchtmp/BENCH_graphfly.json"
+# Allocs/batch depend on GOMAXPROCS, so the gate's smoke runs at the
+# baseline's recorded value (benchdiff refuses a mismatch).
+procs=$(sed -n 's/^ *"gomaxprocs": *\([0-9]*\).*/\1/p' BENCH_graphfly.json)
+: "${procs:?BENCH_graphfly.json records no env.gomaxprocs}"
+go build -o "$benchtmp/bench" ./cmd/bench
+GOMAXPROCS="$procs" "$benchtmp/bench" -json -fig 11,s7 -edgecap 8000 -batch 500 -batches 2 \
+    -out "$benchtmp/BENCH_alloc.json" > /dev/null
+go run ./scripts/benchdiff -allocgate BENCH_graphfly.json "$benchtmp/BENCH_alloc.json"
 
 echo "OK"
