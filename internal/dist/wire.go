@@ -16,6 +16,7 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/wal"
@@ -272,7 +273,52 @@ func decodeWelcome(p []byte) (wireWelcome, error) {
 	}
 	w.Vals = decVals(&d)
 	w.Parent = decI32s(&d)
-	return w, d.Err("welcome")
+	if err := d.Err("welcome"); err != nil {
+		return w, err
+	}
+	return w, w.check()
+}
+
+// maxWelcomeVertices caps a welcome's vertex count, as the snapshot and
+// worker checkpoint readers cap theirs.
+const maxWelcomeVertices = 1 << 28
+
+// check rejects a welcome no worker could install: a vertex count past the
+// cap or disagreeing with the state arrays (which also bounds it by the
+// payload size), an edge or catch-up update outside the vertex range or
+// adding a non-finite weight (graph.CheckBatch's rules), or a parent
+// outside the vertex range.
+func (w *wireWelcome) check() error {
+	n := w.NumV
+	if n > maxWelcomeVertices || len(w.Vals) != int(n) || len(w.Parent) != int(n) {
+		return fmt.Errorf("%w: welcome declares %d vertices, carries %d values and %d parents",
+			wal.ErrCorrupt, n, len(w.Vals), len(w.Parent))
+	}
+	edgeErr := func(e graph.Edge, del bool) error {
+		if e.Src < n && e.Dst < n && (del || !math.IsNaN(e.W) && !math.IsInf(e.W, 0)) {
+			return nil
+		}
+		return fmt.Errorf("%w: welcome edge %d->%d (w=%v) outside %d vertices or not finite",
+			wal.ErrCorrupt, e.Src, e.Dst, e.W, n)
+	}
+	for _, e := range w.Edges {
+		if err := edgeErr(e, false); err != nil {
+			return err
+		}
+	}
+	for _, b := range w.Catchup {
+		for _, u := range b {
+			if err := edgeErr(u.Edge, u.Del); err != nil {
+				return err
+			}
+		}
+	}
+	for v, p := range w.Parent {
+		if p < -1 || p >= int32(n) {
+			return fmt.Errorf("%w: welcome parent %d of vertex %d exceeds %d vertices", wal.ErrCorrupt, p, v, n)
+		}
+	}
+	return nil
 }
 
 // wireBatchStart launches (or after a recovery, relaunches) one batch: the

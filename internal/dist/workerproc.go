@@ -361,6 +361,10 @@ func (w *workerRt) handleWelcome(m wireWelcome) error {
 			return fmt.Errorf("dist: welcome catchup %d batches onto seq %d cannot reach seq %d",
 				len(m.Catchup), w.structSeq, m.BatchSeq)
 		}
+		if w.g.NumVertices() != int(m.NumV) {
+			return fmt.Errorf("dist: welcome for %d vertices onto a recovered graph of %d",
+				m.NumV, w.g.NumVertices())
+		}
 		for i, b := range m.Catchup {
 			w.g.ApplyBatch(b)
 			if err := w.store.appendBatch(w.structSeq+1+uint64(i), b); err != nil {
@@ -368,10 +372,6 @@ func (w *workerRt) handleWelcome(m wireWelcome) error {
 			}
 		}
 		w.structSeq = m.BatchSeq
-	}
-	if len(m.Vals) != w.g.NumVertices() || len(m.Parent) != w.g.NumVertices() {
-		return fmt.Errorf("dist: welcome state arrays (%d/%d) disagree with %d vertices",
-			len(m.Vals), len(m.Parent), w.g.NumVertices())
 	}
 	w.vals = append([]float64(nil), m.Vals...)
 	w.parent = append([]int32(nil), m.Parent...)

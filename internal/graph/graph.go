@@ -61,12 +61,15 @@ func (b Batch) Additions() int {
 func (b Batch) Deletions() int { return len(b) - b.Additions() }
 
 // HubThreshold is the degree at which a vertex's adjacency list gains a
-// neighbour->position hash index, making HasEdge/AddEdge/DeleteEdge O(1)
-// amortized on that list regardless of skew. Below the threshold a linear
-// scan over a short cache-resident slice is faster than a map probe; 64
-// halves (~1KB of Half entries) is where the scan stops winning on the
-// power-law hubs RMAT/BA produce. The index is dropped again only when the
-// degree falls below HubThreshold/4 (hysteresis, so a hub oscillating
+// neighbour->position hash index (hubIndex), making HasEdge/AddEdge/
+// DeleteEdge O(1) amortized on that list regardless of skew. Measured by
+// BenchmarkLookupCrossover (2-vCPU Xeon, warm cache, half hits), one probe
+// of the index costs about 10 ns at any length and a scan ties it at 8
+// halves; at 64 halves the scan costs about 46 ns. The threshold sits
+// above that crossover because an index costs 16-32 bytes per entry plus a
+// build, a list below 64 halves is at most 1 KiB, and InHub makes the same
+// number the hub-replication cutoff. The index is dropped again only when
+// the degree falls below HubThreshold/4 (hysteresis, so a hub oscillating
 // around the threshold does not thrash index builds).
 const HubThreshold = 64
 
@@ -119,8 +122,8 @@ type Streaming struct {
 	in  [][]Half
 	// outIdx[v] / inIdx[v] map a neighbour to its position in out[v] /
 	// in[v]. Non-nil only while v is a hub in that direction.
-	outIdx []map[VertexID]int32
-	inIdx  []map[VertexID]int32
+	outIdx []*hubIndex
+	inIdx  []*hubIndex
 	m      int
 	noIdx  bool // hub indexing disabled (-denseoff ablation, equivalence tests)
 	// hubBuild/hubDrop are this graph's hysteresis band (Options; defaults
@@ -142,8 +145,8 @@ func NewStreamingOpts(n int, o Options) *Streaming {
 	return &Streaming{
 		out:      make([][]Half, n),
 		in:       make([][]Half, n),
-		outIdx:   make([]map[VertexID]int32, n),
-		inIdx:    make([]map[VertexID]int32, n),
+		outIdx:   make([]*hubIndex, n),
+		inIdx:    make([]*hubIndex, n),
 		hubBuild: build,
 		hubDrop:  drop,
 	}
@@ -167,12 +170,48 @@ func FromEdges(n int, edges []Edge) *Streaming {
 	return FromEdgesOpts(n, edges, Options{})
 }
 
-// FromEdgesOpts is FromEdges with explicit tuning options.
+// FromEdgesOpts is FromEdges with explicit tuning options. It builds the
+// same lists, in the same order, as adding the edges one by one, in one
+// linear pass: a stable counting sort of edge indices by source groups
+// each out-list, a per-destination stamp drops repeats (first wins), the
+// in-lists fill from the kept edges in input order, and every list that
+// reaches the build threshold is indexed once at the end. Lists grow by
+// append, so each gets the capacity the one-by-one build would give it.
 func FromEdgesOpts(n int, edges []Edge, o Options) *Streaming {
 	g := NewStreamingOpts(n, o)
+	end := make([]int32, n+1) // end[s] ends source s's span of order
 	for _, e := range edges {
-		g.AddEdge(e)
+		end[e.Src+1]++
 	}
+	for v := 1; v <= n; v++ {
+		end[v] += end[v-1]
+	}
+	order := make([]int32, len(edges))
+	for i, e := range edges {
+		order[end[e.Src]] = int32(i)
+		end[e.Src]++
+	}
+	seen := make([]uint32, n) // seen[d] == s+1: s already has an edge to d
+	keep := make([]bool, len(edges))
+	lo := int32(0)
+	for s := range g.out {
+		for _, i := range order[lo:end[s]] {
+			e := edges[i]
+			if seen[e.Dst] != uint32(s)+1 {
+				seen[e.Dst] = uint32(s) + 1
+				keep[i] = true
+				g.out[s] = append(g.out[s], Half{To: e.Dst, W: e.W})
+			}
+		}
+		g.m += len(g.out[s])
+		lo = end[s]
+	}
+	for i, e := range edges {
+		if keep[i] {
+			g.in[e.Dst] = append(g.in[e.Dst], Half{To: e.Src, W: e.W})
+		}
+	}
+	g.retuneHubs()
 	return g
 }
 
@@ -185,21 +224,22 @@ func (g *Streaming) HubThresholds() (build, drop int) { return g.hubBuild, g.hub
 // had — hysteresis). drop <= 0 means build/4. A no-op when hub indexing is
 // disabled. Not safe concurrently with mutation.
 func (g *Streaming) SetHubThresholds(build, drop int) {
-	b, d := Options{HubThreshold: build, HubDropThreshold: drop}.normalize()
-	g.hubBuild, g.hubDrop = b, d
+	g.hubBuild, g.hubDrop = Options{HubThreshold: build, HubDropThreshold: drop}.normalize()
+	g.retuneHubs()
+}
+
+// retuneHubs indexes every list at or above the build threshold and drops
+// the index of every list below the drop floor.
+func (g *Streaming) retuneHubs() {
 	if g.noIdx {
 		return
 	}
-	retune := func(lists [][]Half, idxs []map[VertexID]int32) {
+	retune := func(lists [][]Half, idxs []*hubIndex) {
 		for v, l := range lists {
 			switch {
-			case idxs[v] == nil && len(l) >= b:
-				idx := make(map[VertexID]int32, 2*len(l))
-				for i, e := range l {
-					idx[e.To] = int32(i)
-				}
-				idxs[v] = idx
-			case idxs[v] != nil && len(l) < d:
+			case idxs[v] == nil && len(l) >= g.hubBuild:
+				idxs[v] = indexOf(l)
+			case idxs[v] != nil && len(l) < g.hubDrop:
 				idxs[v] = nil
 			}
 		}
@@ -234,12 +274,9 @@ func (g *Streaming) In(v VertexID) []Half { return g.in[v] }
 
 // lookupHalf returns the position of `to` in list, consulting the hub index
 // when one exists, or -1 when absent.
-func lookupHalf(list []Half, idx map[VertexID]int32, to VertexID) int32 {
+func lookupHalf(list []Half, idx *hubIndex, to VertexID) int32 {
 	if idx != nil {
-		if p, ok := idx[to]; ok {
-			return p
-		}
-		return -1
+		return idx.get(to)
 	}
 	for i, h := range list {
 		if h.To == to {
@@ -252,25 +289,26 @@ func lookupHalf(list []Half, idx map[VertexID]int32, to VertexID) int32 {
 // appendHalf appends h to lists[u] and maintains the hub index: existing
 // indexes learn the new position, and a list crossing HubThreshold gets one
 // built (O(degree) once, amortized O(1) per add).
-func (g *Streaming) appendHalf(lists [][]Half, idxs []map[VertexID]int32, u VertexID, h Half) {
+func (g *Streaming) appendHalf(lists [][]Half, idxs []*hubIndex, u VertexID, h Half) {
 	lists[u] = append(lists[u], h)
 	l := lists[u]
 	if idx := idxs[u]; idx != nil {
-		idx[h.To] = int32(len(l) - 1)
+		idx.put(h.To, int32(len(l)-1))
 	} else if !g.noIdx && len(l) >= g.hubBuild {
-		idx = make(map[VertexID]int32, 2*len(l))
-		for i, e := range l {
-			idx[e.To] = int32(i)
-		}
-		idxs[u] = idx
+		idxs[u] = indexOf(l)
 	}
 }
 
 // removeHalfIdx swap-deletes `to` from lists[u], fixing up the moved
 // entry's index position and dropping the index under hubDropThreshold.
-func (g *Streaming) removeHalfIdx(lists [][]Half, idxs []map[VertexID]int32, u, to VertexID) (Weight, bool) {
+func (g *Streaming) removeHalfIdx(lists [][]Half, idxs []*hubIndex, u, to VertexID) (Weight, bool) {
 	idx := idxs[u]
-	p := lookupHalf(lists[u], idx, to)
+	var p int32
+	if idx != nil {
+		p = idx.del(to)
+	} else {
+		p = lookupHalf(lists[u], nil, to)
+	}
 	if p < 0 {
 		return 0, false
 	}
@@ -281,12 +319,10 @@ func (g *Streaming) removeHalfIdx(lists [][]Half, idxs []map[VertexID]int32, u, 
 	l[p] = moved
 	lists[u] = l[:last]
 	if idx != nil {
-		delete(idx, to)
-		if int(p) != last {
-			idx[moved.To] = p
-		}
 		if last < g.hubDrop {
 			idxs[u] = nil
+		} else if int(p) != last {
+			idx.put(moved.To, p)
 		}
 	}
 	return w, true
@@ -352,8 +388,8 @@ func (g *Streaming) Clone() *Streaming {
 	c := &Streaming{
 		out:      make([][]Half, len(g.out)),
 		in:       make([][]Half, len(g.in)),
-		outIdx:   make([]map[VertexID]int32, len(g.out)),
-		inIdx:    make([]map[VertexID]int32, len(g.in)),
+		outIdx:   make([]*hubIndex, len(g.out)),
+		inIdx:    make([]*hubIndex, len(g.in)),
 		m:        g.m,
 		noIdx:    g.noIdx,
 		hubBuild: g.hubBuild,
@@ -365,16 +401,11 @@ func (g *Streaming) Clone() *Streaming {
 	for i, l := range g.in {
 		c.in[i] = append([]Half(nil), l...)
 	}
-	cloneIdx := func(dst, src []map[VertexID]int32) {
-		for i, m := range src {
-			if m == nil {
-				continue
+	cloneIdx := func(dst, src []*hubIndex) {
+		for i, h := range src {
+			if h != nil {
+				dst[i] = h.clone()
 			}
-			cp := make(map[VertexID]int32, len(m))
-			for k, v := range m {
-				cp[k] = v
-			}
-			dst[i] = cp
 		}
 	}
 	cloneIdx(c.outIdx, g.outIdx)
@@ -470,15 +501,15 @@ func (g *Streaming) Validate() error {
 
 // validateIdx checks that a hub index, when present, is an exact
 // neighbour->position bijection for the list it covers.
-func validateIdx(list []Half, idx map[VertexID]int32, v VertexID, dir string) error {
+func validateIdx(list []Half, idx *hubIndex, v VertexID, dir string) error {
 	if idx == nil {
 		return nil
 	}
-	if len(idx) != len(list) {
-		return fmt.Errorf("%s-index of %d has %d entries for %d halves", dir, v, len(idx), len(list))
+	if idx.n != len(list) {
+		return fmt.Errorf("%s-index of %d has %d entries for %d halves", dir, v, idx.n, len(list))
 	}
 	for i, h := range list {
-		if p, ok := idx[h.To]; !ok || p != int32(i) {
+		if p := idx.get(h.To); p != int32(i) {
 			return fmt.Errorf("%s-index of %d maps %d to %d, list has it at %d", dir, v, h.To, p, i)
 		}
 	}

@@ -319,7 +319,32 @@ func BenchmarkApplyBatchParallel(b *testing.B) {
 	batch := randomBatch(r, 1<<14, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Clone().ApplyBatchParallel(batch, 0)
+		b.StopTimer()
+		c := g.Clone()
+		b.StartTimer()
+		c.ApplyBatchParallel(batch, 0)
+	}
+}
+
+// BenchmarkApplyHubChurn times ApplyBatchParallel on churnedGraph's two
+// indexed hubs: each iteration deletes 4k of their edges, then adds them
+// back, so every iteration starts from the same edge set and nearly every
+// list operation goes through a hub index.
+func BenchmarkApplyHubChurn(b *testing.B) {
+	g := churnedGraph(7, 50000)
+	var del, add Batch
+	for _, e := range g.Edges() {
+		if e.Src <= 1 && len(del) < 4096 {
+			del = append(del, Update{Edge: e, Del: true})
+			add = append(add, Update{Edge: e})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(g.ApplyBatchParallel(del, 0)) != len(del) || len(g.ApplyBatchParallel(add, 0)) != len(add) {
+			b.Fatal("hub churn did not apply in full")
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -380,3 +381,40 @@ func BenchmarkApplyBatchHub(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLookupCrossover times one neighbour lookup (half hits, half
+// misses, as a batch of adds and deletes probes) on lists of growing
+// length, by linear scan and through the hub index: the list length where
+// the index starts to win is the evidence behind HubThreshold.
+func BenchmarkLookupCrossover(b *testing.B) {
+	for _, n := range []int{4, 8, 16, 32, 64, 128} {
+		r := rng.New(uint64(n))
+		list := make([]Half, n)
+		for i := range list {
+			list[i] = Half{To: VertexID(r.Intn(1 << 20)), W: 1}
+		}
+		idx := indexOf(list)
+		probes := make([]VertexID, 1024)
+		for i := range probes {
+			if i%2 == 0 {
+				probes[i] = list[r.Intn(n)].To
+			} else {
+				probes[i] = VertexID(1<<20 + r.Intn(1<<20))
+			}
+		}
+		for _, tc := range []struct {
+			name string
+			idx  *hubIndex
+		}{{"scan", nil}, {"index", idx}} {
+			b.Run(fmt.Sprintf("len=%d/%s", n, tc.name), func(b *testing.B) {
+				var sum int32
+				for i := 0; i < b.N; i++ {
+					sum += lookupHalf(list, tc.idx, probes[i&1023])
+				}
+				sinkPos = sum
+			})
+		}
+	}
+}
+
+var sinkPos int32

@@ -24,9 +24,7 @@ func (g *Streaming) ApplyBatchParallel(b Batch, workers int) Batch {
 	if workers == 1 || len(b) < 256 {
 		return g.ApplyBatch(b)
 	}
-	n := g.NumVertices()
 	shard := func(v VertexID) int { return int(v) % workers }
-	_ = n
 
 	// took[i] records whether update i took effect; decided on the
 	// out-direction pass (the authoritative one), then mirrored by the

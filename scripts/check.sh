@@ -31,14 +31,19 @@ echo "== flake sweep (fast packages, 3 shuffled passes) =="
 go test -count=3 -shuffle=on ./internal/graph ./internal/dflow ./internal/wal \
     ./internal/netfault ./internal/dense
 
-echo "== decoder fuzz smoke (WAL records, snapshot and worker checkpoint files) =="
+echo "== decoder fuzz smoke (WAL records, snapshot and worker checkpoint files, welcome messages) =="
 # Each target must return an error or a consistent value on any input —
 # never panic, never allocate past what the input's size justifies.
 for target in FuzzDecodeEdges FuzzReadSnapshot FuzzDecodeBatch FuzzDecodeTaggedBatch \
     FuzzDecodeDedupTable; do
     go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s ./internal/wal
 done
-go test -run '^$' -fuzz '^FuzzReadWorkerCkpt$' -fuzztime 5s ./internal/dist
+for target in FuzzReadWorkerCkpt FuzzDecodeWelcome; do
+    go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s ./internal/dist
+done
+
+echo "== hub index fuzz smoke (open-addressing table vs map reference) =="
+go test -run '^$' -fuzz '^FuzzHubIndex$' -fuzztime 5s ./internal/graph
 
 echo "== crash-recovery smoke (seeded WAL crash point + oracle check) =="
 go test -race -run 'TestCrashRecoverySmoke' -count=1 ./internal/wal
