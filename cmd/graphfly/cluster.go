@@ -1,13 +1,20 @@
 package main
 
-// Cluster mode: graphfly -cluster N runs the socket coordinator in this
-// process and supervises N real graphfly-worker processes, each with its
-// own WAL directory under -clusterDir. Workers that die (crash, kill -9)
-// are respawned with the same -dir and -id so they recover locally and
-// rejoin; workers that exit cleanly (coordinator bye, SIGTERM) stay down.
+// Distributed mode: the socket coordinator runs in this process and a
+// supervisor keeps N workers alive. Two flags pick how a worker runs:
 //
-// Pid files (<clusterDir>/worker-<id>.pid) track the live processes so
-// external chaos harnesses (scripts/chaos.sh) can pick kill victims.
+//   - -cluster N spawns real graphfly-worker processes, each with its own
+//     WAL directory under -clusterDir. Pid files
+//     (<clusterDir>/worker-<id>.pid) track the live processes so external
+//     chaos harnesses (scripts/chaos.sh) can pick kill victims.
+//   - -nodes N runs dist.RunWorker goroutines over loopback, with their
+//     WAL directories in a temporary directory removed at exit. With
+//     -faults the workers dial a netfault proxy in front of the
+//     coordinator, so seeded resets, torn writes and stalls hit every link.
+//
+// Workers that die uncleanly (crash, kill -9, a link past its retry budget)
+// are respawned with the same id and directory so they recover locally and
+// rejoin; workers that exit cleanly (coordinator bye, SIGTERM) stay down.
 
 import (
 	"context"
@@ -24,70 +31,153 @@ import (
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/netfault"
 )
+
+// clusterOpts configures startCluster. Exactly one worker kind is chosen:
+// inProcess for -nodes, graphfly-worker processes under dir otherwise.
+type clusterOpts struct {
+	n, flowCap, ckptEvery int
+	addr                  string
+	inProcess             bool
+	dir, workerBin        string
+	faults                netfault.Config
+	reg                   *metrics.Registry
+}
 
 // clusterRuntime ties the in-process coordinator to the worker supervisor.
 type clusterRuntime struct {
-	coord *dist.Coordinator
-	sup   *supervisor
+	coord  *dist.Coordinator
+	sup    *supervisor
+	proxy  *netfault.Proxy // nil without -faults
+	tmpDir string          // removed at close; empty for -cluster
 }
 
-// startCluster launches the coordinator, spawns n supervised workers, and
-// waits until all n have joined.
-func startCluster(ctx context.Context, g *graph.Streaming, a algo.Selective,
-	n, flowCap, ckptEvery int, dir, workerBin, addr string, reg *metrics.Registry) (*clusterRuntime, error) {
-	bin, err := locateWorkerBin(workerBin)
-	if err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("graphfly: %w", err)
+// startCluster launches the coordinator (and the fault proxy, if any),
+// starts n supervised workers, and waits until all n have joined.
+func startCluster(ctx context.Context, g *graph.Streaming, a algo.Selective, o clusterOpts) (*clusterRuntime, error) {
+	c := &clusterRuntime{}
+	var bin string
+	if o.inProcess {
+		tmp, err := os.MkdirTemp("", "graphfly-nodes-")
+		if err != nil {
+			return nil, err
+		}
+		c.tmpDir, o.dir = tmp, tmp
+	} else {
+		var err error
+		if bin, err = locateWorkerBin(o.workerBin); err != nil {
+			return nil, err
+		}
+		if err := os.MkdirAll(o.dir, 0o755); err != nil {
+			return nil, err
+		}
 	}
 	coord, err := dist.NewCoordinator(g, a, dist.CoordConfig{
-		Addr:      addr,
-		FlowCap:   flowCap,
-		CkptEvery: ckptEvery,
-		Metrics:   reg,
+		Addr:      o.addr,
+		FlowCap:   o.flowCap,
+		CkptEvery: o.ckptEvery,
+		Metrics:   o.reg,
 		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "graphfly: coord: %s\n", fmt.Sprintf(format, args...))
+			fmt.Fprintf(os.Stderr, "graphfly: %s\n", fmt.Sprintf(format, args...))
 		},
 	})
 	if err != nil {
+		c.close()
 		return nil, err
 	}
-	sup := newSupervisor(bin, coord.Addr(), dir)
-	for i := 0; i < n; i++ {
-		sup.spawn(i)
+	c.coord = coord
+	dial := coord.Addr()
+	if o.faults.Enabled() {
+		c.proxy = netfault.NewProxy(dial, o.faults)
+		paddr, err := c.proxy.Start("127.0.0.1:0")
+		if err != nil {
+			c.close()
+			return nil, err
+		}
+		dial = paddr.String()
 	}
-	if err := coord.WaitForWorkers(ctx, n); err != nil {
-		sup.stop()
-		coord.Close()
-		return nil, fmt.Errorf("graphfly: waiting for %d workers: %w", n, err)
+	run := execWorker(bin, dial, o.dir)
+	if o.inProcess {
+		run = inProcessWorker(dial, o.dir)
 	}
-	return &clusterRuntime{coord: coord, sup: sup}, nil
+	c.sup = newSupervisor(run)
+	for i := 0; i < o.n; i++ {
+		c.sup.spawn(i)
+	}
+	if err := coord.WaitForWorkers(ctx, o.n); err != nil {
+		c.close()
+		return nil, fmt.Errorf("waiting for %d workers: %w", o.n, err)
+	}
+	return c, nil
 }
 
-// close byes the workers through the coordinator, then reaps the processes.
+// close byes the workers through the coordinator, stops them, and tears
+// down the proxy and the temporary worker directories.
 func (c *clusterRuntime) close() {
-	c.coord.Close()
-	c.sup.stop()
+	if c.coord != nil {
+		c.coord.Close()
+	}
+	if c.sup != nil {
+		c.sup.stop()
+	}
+	if c.proxy != nil {
+		c.proxy.Close()
+	}
+	if c.tmpDir != "" {
+		os.RemoveAll(c.tmpDir)
+	}
 }
 
-// supervisor spawns graphfly-worker processes and respawns any that die
-// uncleanly, preserving each worker's id and durable directory.
+// workerRunner runs one incarnation of worker id until it exits. A nil
+// return is a clean exit (bye or graceful shutdown); an error is a death
+// the supervisor answers with a respawn. Cancelling ctx asks the worker to
+// shut down gracefully.
+type workerRunner func(ctx context.Context, id int) error
+
+func workerDir(dir string, id int) string {
+	return filepath.Join(dir, fmt.Sprintf("worker-%d", id))
+}
+
+// execWorker runs each incarnation as a graphfly-worker process and keeps
+// its pid file current while it lives.
+func execWorker(bin, addr, dir string) workerRunner {
+	return func(ctx context.Context, id int) error {
+		cmd := exec.CommandContext(ctx, bin, "-addr", addr, "-dir", workerDir(dir, id), "-id", strconv.Itoa(id))
+		cmd.Stderr = os.Stderr
+		// Stopping asks for a graceful exit (bye + final checkpoint) and
+		// escalates to SIGKILL when it does not come in time.
+		cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGTERM) }
+		cmd.WaitDelay = 10 * time.Second
+		if err := cmd.Start(); err != nil {
+			return fmt.Errorf("spawn: %w", err)
+		}
+		pidPath := filepath.Join(dir, fmt.Sprintf("worker-%d.pid", id))
+		os.WriteFile(pidPath, []byte(strconv.Itoa(cmd.Process.Pid)+"\n"), 0o644)
+		defer os.Remove(pidPath)
+		return cmd.Wait()
+	}
+}
+
+// inProcessWorker runs each incarnation as a RunWorker call in this process.
+func inProcessWorker(addr, dir string) workerRunner {
+	return func(ctx context.Context, id int) error {
+		return dist.RunWorker(ctx, dist.WorkerConfig{Addr: addr, Dir: workerDir(dir, id), ID: id})
+	}
+}
+
+// supervisor keeps workers running, respawning any that die uncleanly with
+// their id (and so their durable directory) preserved.
 type supervisor struct {
-	bin  string
-	addr string
-	dir  string
-
-	mu       sync.Mutex
-	stopping bool
-	procs    map[int]*os.Process
-	wg       sync.WaitGroup
+	run    workerRunner
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
-func newSupervisor(bin, addr, dir string) *supervisor {
-	return &supervisor{bin: bin, addr: addr, dir: dir, procs: map[int]*os.Process{}}
+func newSupervisor(run workerRunner) *supervisor {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &supervisor{run: run, ctx: ctx, cancel: cancel}
 }
 
 func (s *supervisor) spawn(id int) {
@@ -98,65 +188,23 @@ func (s *supervisor) spawn(id int) {
 func (s *supervisor) runLoop(id int) {
 	defer s.wg.Done()
 	for {
-		s.mu.Lock()
-		if s.stopping {
-			s.mu.Unlock()
-			return
-		}
-		cmd := exec.Command(s.bin,
-			"-addr", s.addr,
-			"-dir", filepath.Join(s.dir, fmt.Sprintf("worker-%d", id)),
-			"-id", strconv.Itoa(id))
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			s.mu.Unlock()
-			fmt.Fprintf(os.Stderr, "graphfly: spawn worker %d: %v\n", id, err)
-			return
-		}
-		s.procs[id] = cmd.Process
-		s.mu.Unlock()
-		pidPath := filepath.Join(s.dir, fmt.Sprintf("worker-%d.pid", id))
-		os.WriteFile(pidPath, []byte(strconv.Itoa(cmd.Process.Pid)+"\n"), 0o644)
-
-		err := cmd.Wait()
-		s.mu.Lock()
-		delete(s.procs, id)
-		stopping := s.stopping
-		s.mu.Unlock()
-		os.Remove(pidPath)
-		if stopping || err == nil {
-			// Clean exit: the worker was told to stop (bye / SIGTERM).
-			return
+		err := s.run(s.ctx, id)
+		if err == nil || s.ctx.Err() != nil {
+			return // clean exit, or told to stop
 		}
 		fmt.Fprintf(os.Stderr, "graphfly: worker %d died (%v) — respawning\n", id, err)
-		time.Sleep(200 * time.Millisecond)
+		select {
+		case <-s.ctx.Done():
+			return
+		case <-time.After(200 * time.Millisecond):
+		}
 	}
 }
 
-// stop terminates the remaining workers gracefully, escalating to SIGKILL
-// after a timeout, and waits for every monitor goroutine to finish.
+// stop asks every worker to shut down gracefully and waits for them all.
 func (s *supervisor) stop() {
-	s.mu.Lock()
-	s.stopping = true
-	for _, p := range s.procs {
-		p.Signal(syscall.SIGTERM)
-	}
-	s.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		s.mu.Lock()
-		for _, p := range s.procs {
-			p.Kill()
-		}
-		s.mu.Unlock()
-		<-done
-	}
+	s.cancel()
+	s.wg.Wait()
 }
 
 // locateWorkerBin resolves the graphfly-worker executable: an explicit
@@ -174,5 +222,5 @@ func locateWorkerBin(explicit string) (string, error) {
 	if p, err := exec.LookPath("graphfly-worker"); err == nil {
 		return p, nil
 	}
-	return "", fmt.Errorf("graphfly: graphfly-worker binary not found — build it next to graphfly (go build ./cmd/...) or pass -workerBin")
+	return "", fmt.Errorf("graphfly-worker binary not found — build it next to graphfly (go build ./cmd/...) or pass -workerBin")
 }

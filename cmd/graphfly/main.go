@@ -22,12 +22,12 @@ import (
 	"syscall"
 
 	"repro/internal/algo"
-	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/gio"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/netfault"
 	"repro/internal/prof"
 	"repro/internal/wal"
 )
@@ -56,12 +56,12 @@ func main() {
 	walDir := flag.String("waldir", "", "directory for WAL segments and snapshots (required with -wal)")
 	fsync := flag.String("fsync", "interval", "WAL fsync policy: interval | always | off")
 	snapEvery := flag.Int("snapshot-every", 16, "batches between snapshot checkpoints in -wal mode")
-	nodes := flag.Int("nodes", 0, "run the distributed cluster simulation over this many worker nodes (selective algorithms only)")
+	nodes := flag.Int("nodes", 0, "run the socket runtime over this many in-process loopback workers (selective algorithms only)")
 	clusterN := flag.Int("cluster", 0, "spawn this many real graphfly-worker processes and run the batches over the socket runtime (selective algorithms only)")
 	clusterDir := flag.String("clusterDir", "", "base directory for per-worker WALs, checkpoints, and pid files (required with -cluster)")
 	workerBin := flag.String("workerBin", "", "path to the graphfly-worker binary (default: sibling of this binary, then $PATH)")
-	clusterAddr := flag.String("addr", "127.0.0.1:0", "coordinator listen address in -cluster mode")
-	faults := flag.String("faults", "", "fault injection spec for -nodes mode, e.g. seed=7,drop=0.05,crash=0.01,crashat=1:3:0 (keys: seed drop dup delay reorder maxdelay crash maxcrashes crashat detect retrans ckpt maxrounds norejoin)")
+	clusterAddr := flag.String("addr", "127.0.0.1:0", "coordinator listen address in -cluster and -nodes mode")
+	faults := flag.String("faults", "", "network fault mix for -nodes mode, injected by a proxy in front of the coordinator, e.g. seed=7,reset=0.03,partial=0.02,delay=0.05,maxdelay=2ms,maxfaults=12 (keys: seed reset partial delay maxdelay maxfaults)")
 	showMetrics := flag.Bool("metrics", false, "print engine counters and phase histograms at exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
 	memprofile := flag.String("memprofile", "", "write a heap profile here at exit")
@@ -86,7 +86,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "graphfly: -wal requires -waldir")
 			os.Exit(2)
 		case *nodes > 1:
-			fmt.Fprintln(os.Stderr, "graphfly: -wal is single-node only (the distributed runtime checkpoints through dist.SaveCheckpoint)")
+			fmt.Fprintln(os.Stderr, "graphfly: -wal is single-node only (distributed workers keep their own WALs)")
 			os.Exit(2)
 		case *snapEvery < 1:
 			fmt.Fprintln(os.Stderr, "graphfly: -snapshot-every must be >= 1")
@@ -112,10 +112,10 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stopSignals()
 
-	var fcfg dist.FaultConfig
+	var nf netfault.Config
 	if *faults != "" {
 		var err error
-		fcfg, err = dist.ParseFaults(*faults)
+		nf, err = netfault.ParseSpec(*faults)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "graphfly: %v\n", err)
 			os.Exit(2)
@@ -182,7 +182,6 @@ func main() {
 	var (
 		values  func() []float64
 		run     func(graph.Batch) (engine.BatchStats, error)
-		cluster *dist.Cluster
 		crt     *clusterRuntime
 		durable *wal.DurableSelective
 		dim     = 1
@@ -211,17 +210,21 @@ func main() {
 		}
 		g := graph.FromEdges(w.NumV, initial)
 		switch {
-		case *clusterN > 0:
+		case *clusterN > 0 || *nodes > 1:
+			o := clusterOpts{
+				n: *clusterN, flowCap: *flowCap, ckptEvery: *snapEvery, addr: *clusterAddr,
+				dir: *clusterDir, workerBin: *workerBin, faults: nf, reg: reg,
+			}
+			if *nodes > 1 {
+				o.n, o.inProcess = *nodes, true
+			}
 			var err error
-			crt, err = startCluster(ctx, g, a, *clusterN, *flowCap, *snapEvery, *clusterDir, *workerBin, *clusterAddr, reg)
+			crt, err = startCluster(ctx, g, a, o)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "graphfly: %v\n", err)
 				os.Exit(1)
 			}
 			values = crt.coord.Values
-		case *nodes > 1:
-			cluster = dist.NewClusterWithFaults(g, a, *nodes, *flowCap, fcfg)
-			values = cluster.Values
 		case *walOn:
 			if err := os.MkdirAll(*walDir, 0o755); err != nil {
 				fmt.Fprintf(os.Stderr, "graphfly: %v\n", err)
@@ -300,14 +303,14 @@ func main() {
 
 	fmt.Printf("graphfly %s on %s: %d vertices, %d initial edges, %d batches\n",
 		*algoName, datasetName, w.NumV, len(w.Initial), len(w.Batches))
-	if cluster != nil {
-		fmt.Printf("distributed: %d nodes", *nodes)
-		if fcfg.Enabled() {
-			fmt.Printf(", faults %q", *faults)
+	switch {
+	case crt != nil && *nodes > 1:
+		fmt.Printf("distributed: %d in-process workers via %s", *nodes, crt.coord.Addr())
+		if crt.proxy != nil {
+			fmt.Printf(", faults %s", nf)
 		}
 		fmt.Println()
-	}
-	if crt != nil {
+	case crt != nil:
 		fmt.Printf("cluster: %d worker processes via %s\n", *clusterN, crt.coord.Addr())
 	}
 	interrupted := false
@@ -315,14 +318,6 @@ func main() {
 		if ctx.Err() != nil {
 			interrupted = true
 			break
-		}
-		if cluster != nil {
-			if err := cluster.ProcessBatchE(b); err != nil {
-				fmt.Fprintf(os.Stderr, "graphfly: batch %d rejected: %v\n", bi, err)
-				os.Exit(1)
-			}
-			fmt.Printf("batch %d: rounds=%d msgs=%d\n", bi, cluster.LastRounds, cluster.LastCrossMsgs)
-			continue
 		}
 		if crt != nil {
 			if err := crt.coord.ProcessBatch(ctx, b); err != nil {
@@ -378,11 +373,9 @@ func main() {
 		// Bye the workers (each writes a final checkpoint) and reap them.
 		crt.close()
 		fmt.Printf("cluster: boundary seq %d\n", crt.coord.BoundarySeq())
-	}
-	if cluster != nil && fcfg.Enabled() {
-		s := cluster.Stats
-		fmt.Printf("faults: dropped=%d duplicated=%d delayed=%d reordered=%d retransmits=%d dupsDiscarded=%d crashes=%d rejoins=%d recovered=%d replayed=%d reseeded=%d\n",
-			s.Dropped, s.Duplicated, s.Delayed, s.Reordered, s.Retransmits, s.DupsDiscarded, s.Crashes, s.Rejoins, s.RecoveredVerts, s.ReplayedMsgs, s.ReplaySeeds)
+		if p := crt.proxy; p != nil {
+			fmt.Printf("faults: resets=%d delays=%d\n", p.In.Resets(), p.In.Delays())
+		}
 	}
 	digest(values(), dim)
 	if *outputFile != "" {

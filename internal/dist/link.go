@@ -1,11 +1,9 @@
 package dist
 
-// Reliable link over a real net.Conn — the socket twin of reliable.go. The
-// link gives the runtime the same contract the simulated layer gives the
-// cost-model cluster: per-link FIFO delivery of sequenced messages, dedup by
-// sequence number, cumulative acks, retransmission with exponential backoff,
-// and capped retries that degrade to the typed ErrPeerDown instead of
-// retransmitting forever.
+// Reliable link over a real net.Conn. The link gives the runtime per-link
+// FIFO delivery of sequenced messages, dedup by sequence number, cumulative
+// acks, retransmission with exponential backoff, and capped retries that
+// degrade to the typed ErrPeerDown instead of retransmitting forever.
 //
 // TCP already provides ordering and retransmission *within one connection*;
 // the link exists for what TCP does not survive: the connection dying. Seq
@@ -18,10 +16,10 @@ package dist
 // new incarnation) zeroes the sequence space, and that is a membership
 // event handled above this layer.
 //
-// Down conversion mirrors the sim semantics: a pending frame retransmitted
-// MaxRetries times, or a link left without a usable conn (or without any
-// inbound frame) past PeerTimeout, marks the link down, fires onDown(
-// ErrPeerDown) exactly once, and refuses further sends. The membership
+// Down conversion is fail-stop: a pending frame retransmitted MaxRetries
+// times, or a link left without a usable conn (or without any inbound
+// frame) past PeerTimeout, marks the link down, fires onDown(ErrPeerDown)
+// exactly once, and refuses further sends. The membership
 // layer then treats the peer as crashed.
 
 import (
@@ -398,7 +396,7 @@ func (l *link) tickOnce(now time.Time) bool {
 	}
 	if conn != nil {
 		// Retransmit pass with exponential backoff; capped retries degrade
-		// to ErrPeerDown exactly like retransmitRound in the sim layer.
+		// to ErrPeerDown.
 		maxR := l.cfg.maxRetries()
 		base := l.cfg.retransBase()
 		for i := range l.pending {

@@ -7,6 +7,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,10 +17,32 @@ import (
 	"time"
 
 	"repro/internal/algo"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/netfault"
 )
+
+func clusterWorkload(seed uint64, batches int) gen.Workload {
+	cfg := gen.TestDataset(seed)
+	cfg.NumV, cfg.NumE = 300, 2000
+	edges := gen.Generate(cfg)
+	return gen.BuildWorkload(cfg.NumV, edges, gen.StreamConfig{
+		InitialFraction: 0.5, DeleteRatio: 0.3, BatchSize: 150,
+		NumBatches: batches, Seed: seed + 1,
+	})
+}
+
+// deletionHeavyWorkload keeps deleting the support chains recovery has to
+// rebuild: most of every batch removes edges from a dense initial graph.
+func deletionHeavyWorkload() gen.Workload {
+	cfg := gen.TestDataset(90)
+	cfg.NumV, cfg.NumE = 200, 1500
+	edges := gen.Generate(cfg)
+	return gen.BuildWorkload(cfg.NumV, edges, gen.StreamConfig{
+		InitialFraction: 0.7, DeleteRatio: 0.8, BatchSize: 100, NumBatches: 4, Seed: 91,
+	})
+}
 
 // fastCoordConfig returns timers tight enough that death detection and
 // retransmission resolve in tens of milliseconds.
@@ -167,7 +190,7 @@ func (h *socketHarness) runBatch(bi int, b graph.Batch) {
 	}
 	rb := b
 	if h.alg.Symmetric() {
-		rb = symmetrize(b)
+		rb = engine.Symmetrize(b)
 	}
 	h.ref.ApplyBatch(rb)
 	want, _ := algo.SolveSelective(h.ref, h.alg)
@@ -176,6 +199,27 @@ func (h *socketHarness) runBatch(bi int, b graph.Batch) {
 		if want[v] != got[v] && !(math.IsInf(want[v], 1) && math.IsInf(got[v], 1)) {
 			h.t.Fatalf("%s batch %d: vertex %d = %v, want %v", h.alg.Name(), bi, v, got[v], want[v])
 		}
+	}
+}
+
+// runBatchCrashing runs batch bi while worker id is killed delay into it,
+// then restarts the victim onto its WAL directory and waits for the rejoin.
+func (h *socketHarness) runBatchCrashing(bi int, b graph.Batch, id int, delay time.Duration) {
+	h.t.Helper()
+	victim := h.workers[id]
+	go func() {
+		time.Sleep(delay)
+		close(victim.hardStop)
+	}()
+	h.runBatch(bi, b)
+	<-victim.done
+	victim.cancel()
+	n := len(h.workers)
+	h.startWorker(id)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := h.coord.WaitForWorkers(ctx, n); err != nil {
+		h.t.Fatal(err)
 	}
 }
 
@@ -267,34 +311,55 @@ func TestSocketGracefulLeaveAndJoin(t *testing.T) {
 	}
 }
 
-// TestSocketCrashRestartMidBatch kills a worker while a batch is in flight;
-// the survivors re-run, the restarted worker recovers from its WAL and
-// rejoins, and every batch still matches the oracle bit-exactly.
+// TestSocketCrashRestartMidBatch kills workers while a batch is in flight;
+// the survivors re-run, each restarted worker recovers from its WAL and
+// rejoins, and every batch still matches the oracle bit-exactly. The
+// deletion-heavy stream keeps trimming the support chains the re-run has
+// to rebuild.
 func TestSocketCrashRestartMidBatch(t *testing.T) {
-	w := clusterWorkload(107, 5)
+	cases := []struct {
+		name    string
+		w       gen.Workload
+		workers int
+		crashes map[int]int // batch -> victim id
+	}{
+		{"uniform", clusterWorkload(107, 5), 3, map[int]int{2: 1}},
+		{"deletion-heavy", deletionHeavyWorkload(), 4, map[int]int{1: 1, 3: 2}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newSocketHarness(t, algo.SSSP{Src: 0}, tc.w, tc.workers)
+			defer h.close()
+			for bi, b := range tc.w.Batches {
+				if id, ok := tc.crashes[bi]; ok {
+					h.runBatchCrashing(bi, b, id, 2*time.Millisecond)
+				} else {
+					h.runBatch(bi, b)
+				}
+			}
+		})
+	}
+}
+
+// TestSocketRejectsMalformedBatch: a batch naming a vertex past NumV fails
+// with a typed error before any state changes, and the cluster stays
+// oracle-exact on the rest of the stream.
+func TestSocketRejectsMalformedBatch(t *testing.T) {
+	w := clusterWorkload(500, 2)
 	h := newSocketHarness(t, algo.SSSP{Src: 0}, w, 3)
 	defer h.close()
-	h.runBatch(0, w.Batches[0])
-	h.runBatch(1, w.Batches[1])
-
-	victim := h.workers[1]
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		close(victim.hardStop)
-	}()
-	h.runBatch(2, w.Batches[2])
-	<-victim.done
-	victim.cancel()
-
-	// Restart with the same directory and id: WAL recovery + rejoin.
-	h.startWorker(1)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := h.coord.WaitForWorkers(ctx, 3); err != nil {
-		t.Fatal(err)
+	bad := graph.Batch{{Edge: graph.Edge{Src: 0, Dst: uint32(w.NumV) + 7, W: 1}}}
+	err := h.coord.ProcessBatch(context.Background(), bad)
+	var be *graph.BatchError
+	if !errors.As(err, &be) {
+		t.Fatalf("want *graph.BatchError, got %v", err)
 	}
-	h.runBatch(3, w.Batches[3])
-	h.runBatch(4, w.Batches[4])
+	if be.Index != 0 {
+		t.Fatalf("BatchError.Index = %d, want 0", be.Index)
+	}
+	for bi, b := range w.Batches {
+		h.runBatch(bi, b)
+	}
 }
 
 // TestSocketAllWorkersDie kills the whole membership mid-batch; restarted
@@ -338,26 +403,12 @@ func TestSocketChaosSeeded(t *testing.T) {
 			h := newSocketHarness(t, algo.SSSP{Src: 0}, w, n)
 			defer h.close()
 			for bi, b := range w.Batches {
-				var crashed *testWorker
 				if bi > 0 && rng.Intn(2) == 0 {
-					crashed = h.workers[rng.Intn(n)]
+					id := rng.Intn(n)
 					delay := time.Duration(rng.Intn(4)) * time.Millisecond
-					go func() {
-						time.Sleep(delay)
-						close(crashed.hardStop)
-					}()
-				}
-				h.runBatch(bi, b)
-				if crashed != nil {
-					<-crashed.done
-					crashed.cancel()
-					h.startWorker(crashed.id)
-					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-					if err := h.coord.WaitForWorkers(ctx, n); err != nil {
-						cancel()
-						t.Fatal(err)
-					}
-					cancel()
+					h.runBatchCrashing(bi, b, id, delay)
+				} else {
+					h.runBatch(bi, b)
 				}
 			}
 		})
@@ -452,38 +503,65 @@ func TestSocketMembershipChurnSweep(t *testing.T) {
 
 // TestSocketWorkerThroughFaultProxy parks a netfault proxy between the
 // coordinator and one worker's dial address — no dist code changes, the
-// worker just dials the proxy — and oracle-checks every batch with seeded
-// delays jittering the link. The mix is delay-only (delays never spend the
-// fault budget, so they inject for the whole run) and MaxDelay stays far
-// under PeerTimeout so the link-layer never declares the worker dead: the
-// test pins down that a slow, jittery network path reorders nothing the
-// seq/ack layer can't absorb.
+// worker just dials the proxy — and oracle-checks every batch under a
+// seeded fault mix.
+//
+// The delay-only mix never spends the fault budget, so it jitters the link
+// for the whole run, and MaxDelay stays far under PeerTimeout so the link
+// layer never declares the worker dead: a slow, jittery path reorders
+// nothing the seq/ack layer can't absorb. The reset+partial mixes kill the
+// proxied connection mid-frame; the worker must redial and the link resume
+// where the old socket broke, with the worker never leaving the membership.
+// They run a longer stream: the proxy's Read and Write share one seeded
+// draw sequence per connection, and a connection's first reset draw can
+// sit past the hundredth I/O operation (seed 9), which a 6-batch stream
+// under -race does not always reach.
 func TestSocketWorkerThroughFaultProxy(t *testing.T) {
-	w := clusterWorkload(171, 6)
-	h := newSocketHarness(t, algo.SSSP{Src: 0}, w, 1)
-	p := netfault.NewProxy(h.coord.Addr(), netfault.Config{
-		Seed: 171, DelayProb: 0.35, MaxDelay: 5 * time.Millisecond,
-	})
-	paddr, err := p.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	cases := map[string]netfault.Config{
+		"delay": {Seed: 171, DelayProb: 0.35, MaxDelay: 5 * time.Millisecond},
 	}
-	defer p.Close()
-	defer h.close()
-	h.workers[1] = startTestWorker(paddr.String(), h.workerDir(1), 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if err := h.coord.WaitForWorkers(ctx, 2); err != nil {
-		t.Fatal(err)
+	for seed := uint64(7); seed <= 9; seed++ {
+		cases[fmt.Sprintf("reset-partial/seed=%d", seed)] = netfault.Config{
+			Seed: seed, ResetProb: 0.03, PartialProb: 0.02, DelayProb: 0.05,
+			MaxDelay: 2 * time.Millisecond, MaxFaults: 12,
+		}
 	}
-	for bi, b := range w.Batches {
-		h.runBatch(bi, b)
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			batches := 6
+			if cfg.ResetProb > 0 {
+				batches = 16
+			}
+			w := clusterWorkload(171, batches)
+			h := newSocketHarness(t, algo.SSSP{Src: 0}, w, 1)
+			p := netfault.NewProxy(h.coord.Addr(), cfg)
+			paddr, err := p.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			defer h.close()
+			h.workers[1] = startTestWorker(paddr.String(), h.workerDir(1), 1)
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			if err := h.coord.WaitForWorkers(ctx, 2); err != nil {
+				t.Fatal(err)
+			}
+			for bi, b := range w.Batches {
+				h.runBatch(bi, b)
+			}
+			if got := h.coord.LiveWorkers(); got != 2 {
+				t.Fatalf("proxied worker was declared dead: %d live workers, want 2", got)
+			}
+			if cfg.ResetProb > 0 {
+				if p.In.Resets() == 0 {
+					t.Fatal("proxy injected no resets; the reconnect path was not exercised")
+				}
+			} else if p.In.Delays() == 0 {
+				t.Fatal("proxy injected no delays; the fault path was not exercised")
+			}
+			t.Logf("proxied link: %d resets, %d delays across %d batches",
+				p.In.Resets(), p.In.Delays(), len(w.Batches))
+		})
 	}
-	if got := h.coord.LiveWorkers(); got != 2 {
-		t.Fatalf("proxied worker was declared dead: %d live workers, want 2", got)
-	}
-	if p.In.Delays() == 0 {
-		t.Fatal("proxy injected no delays; the fault path was not exercised")
-	}
-	t.Logf("proxied link: %d injected delays across %d batches", p.In.Delays(), len(w.Batches))
 }

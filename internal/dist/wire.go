@@ -199,7 +199,7 @@ func decEdges(d *wal.Dec) []graph.Edge {
 
 // dataRec is one routed protocol record: a candidate aimed at a vertex's
 // owner, or a shadow refresh the coordinator fans out to every other
-// worker. The wire twin of the simulation's clusterMsg.
+// worker.
 type dataRec struct {
 	V      uint32
 	Parent int32

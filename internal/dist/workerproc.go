@@ -1,15 +1,23 @@
 package dist
 
-// Worker process runtime: the socket twin of the sim's clusterNode, run by
-// cmd/graphfly-worker (or in-process by tests). A worker holds a full
+// Worker process runtime, run by cmd/graphfly-worker or in-process by
+// cmd/graphfly -nodes, the figures and the tests. A worker holds a full
 // replica of the graph structure and the value/parent/trimmed arrays,
 // computes its flow partition locally from the boundary parents (the
 // partition is a deterministic function of the parent array, and every
 // replica's parents agree at quiescent boundaries, so worker and
 // coordinator derive identical flow tables without shipping them — only the
 // flow -> worker assignment travels), processes its owned vertices with the
-// same fused refine/recompute the sim uses, and routes everything
+// fused refine/recompute of the GraphFly protocol, and routes everything
 // cross-worker through the coordinator.
+//
+// Safety under staleness: values of vertices owned elsewhere are shadows,
+// refreshed only by messages. For monotonic algorithms a stale shadow is an
+// over-approximation of the true value, which is exactly what trimming
+// already produces, so pulls over shadows stay safe; trims are broadcast
+// before processing, and a shadow's invalid bit is cleared only by the
+// refresh that carries the owner's post-refinement value. Owners push every
+// improvement, so the cluster converges to the single-machine fixpoint.
 //
 // Durability: every applied batch is fsynced into the worker's WAL before
 // processing, and on CkptCmd the worker writes a frame-composed checkpoint
@@ -528,7 +536,8 @@ func (w *workerRt) drainAndReport() {
 	}
 }
 
-// applyRec is the inbox half of the sim's processNode.
+// applyRec applies one inbound record: a shadow refresh or a candidate
+// for an owned vertex.
 func (w *workerRt) applyRec(r dataRec) {
 	if int(r.V) >= len(w.vals) {
 		return
@@ -560,7 +569,8 @@ func (w *workerRt) applyRec(r dataRec) {
 	}
 }
 
-// processVertex is the worklist half of the sim's processNode.
+// processVertex relaxes the out-edges of one worklist vertex, locally for
+// owned targets and through the outbox for remote ones.
 func (w *workerRt) processVertex(v uint32) {
 	if w.trimmed[v] {
 		w.refine(v)
@@ -583,7 +593,8 @@ func (w *workerRt) processVertex(v uint32) {
 }
 
 // refine resets an owned trimmed vertex from its local (possibly stale,
-// always safe) view — the sim's refine/refineFrom with the base floor.
+// always safe) view, pulling from the base value over non-trimmed
+// in-neighbours.
 func (w *workerRt) refine(v uint32) {
 	best := w.alg.Base(v)
 	bestParent := int32(-1)

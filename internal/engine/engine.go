@@ -56,7 +56,7 @@ type Config struct {
 	// live in the upper triangle. Accumulative engine only.
 	BackwardFlows bool
 	// TraceWork records per-flow work and cross-flow message volume for
-	// the distributed simulation (small overhead).
+	// the distributed cost model (small overhead).
 	TraceWork bool
 	// Metrics, when non-nil, receives per-batch counters and per-phase
 	// duration histograms (internal/metrics). Nil costs one pointer

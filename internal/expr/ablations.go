@@ -1,11 +1,12 @@
 package expr
 
 import (
-	"math"
+	"time"
 
 	"repro/internal/algo"
-	"repro/internal/dist"
 	"repro/internal/engine"
+	"repro/internal/metrics"
+	"repro/internal/netfault"
 )
 
 // AblationFlowCap sweeps the dependency-flow size cap (the scheduling
@@ -97,90 +98,45 @@ func AblationTriangle(sc Scale) Table {
 	return t
 }
 
-// AblationFaults sweeps injected fault severity on the functional
-// distributed runtime (§VI plus the fault layer): each row runs the same
-// SSSP stream through a 4-node cluster under a seeded fault schedule,
-// checks bit-exactness against the single-machine fixpoint, and prices the
-// schedule's masking overheads (retransmission, detection, recovery,
-// checkpointing) through the cost model on the engine's real work trace.
+// AblationFaults sweeps injected fault severity on the socket runtime:
+// each row runs the same SSSP stream through a coordinator plus three
+// loopback workers (the Fig S4 harness), under a seeded netfault mix on
+// every worker link and/or mid-batch worker crashes, and checks the
+// converged values bit-exactly against algo.SolveSelective. Wall time
+// prices what masking the faults costs; reconnects and retransmits are the
+// link layer's dist.* counters over both ends of every link.
 func AblationFaults(sc Scale) Table {
 	t := Table{
 		ID:     "Ablation A5",
-		Title:  "Fault sensitivity of the distributed runtime (SSSP on TT, 4 nodes)",
-		Header: []string{"Schedule", "Rounds", "Retrans", "Crashes", "Recovered", "Exact", "Sim ms"},
+		Title:  "Fault sensitivity of the socket runtime (SSSP on TT, 3 loopback workers)",
+		Header: []string{"Schedule", "Wall ms", "Reconnects", "Retransmits", "Crashes", "Exact"},
 	}
+	const workers = 3
 	w := workload("TT", sc, 0.3, 0xA5)
-	a := algo.SSSP{Src: 0}
-
-	// One traced single-machine run feeds the cost-model column.
-	tCfg := engine.Config{Workers: sc.Workers, Scheduler: sc.Scheduler, DenseOff: sc.DenseOff, FlowCap: 64, TraceWork: true}
-	_, tStats := runBatches(sc, graphflySelective(w, a, tCfg), w)
-	traces := make([]*engine.WorkTrace, 0, len(tStats))
-	for _, st := range tStats {
-		traces = append(traces, st.Trace)
-	}
-	tr := dist.MergeTraces(traces)
-	cm := dist.DefaultCostModel()
-	pl := dist.Place(tr, 4, dist.LocalityLPT)
-
-	// Reference fixpoint after the full stream.
-	refG := buildGraph(w, false)
-	for _, b := range w.Batches {
-		refG.ApplyBatch(b)
-	}
-	refVals, _ := algo.SolveSelective(refG, a)
-
+	resets := netfault.Config{Seed: 0xA5, ResetProb: 0.05, PartialProb: 0.03, MaxFaults: 12}
+	none := func(int) (int, bool) { return 0, false }
+	crashBatch1 := func(bi int) (int, bool) { return 1, bi == 1 }
 	cases := []struct {
-		name string
-		fc   dist.FaultConfig
+		name   string
+		faults netfault.Config
+		crash  crashPlan
 	}{
-		{"fault-free", dist.FaultConfig{}},
-		{"drop 5%", dist.FaultConfig{Seed: 0xA5, Drop: 0.05}},
-		{"drop+dup+reorder", dist.FaultConfig{Seed: 0xA5, Drop: 0.1, Dup: 0.05, Delay: 0.2, Reorder: 0.1}},
-		{"1 crash", dist.FaultConfig{Seed: 0xA5, CrashSchedule: []dist.CrashPoint{{Batch: 1, Round: 2, Node: 1}}}},
-		{"chaos", dist.FaultConfig{Seed: 0xA5, Drop: 0.15, Dup: 0.05, Delay: 0.2, Reorder: 0.15, CrashRate: 0.01, MaxCrashes: 2}},
-	}
-	if sc.Faults != "" {
-		if fc, err := dist.ParseFaults(sc.Faults); err == nil {
-			cases = append(cases, struct {
-				name string
-				fc   dist.FaultConfig
-			}{"custom", fc})
-		}
+		{"fault-free", netfault.Config{}, none},
+		{"delay", netfault.Config{Seed: 0xA5, DelayProb: 0.05, MaxDelay: 60 * time.Millisecond}, none},
+		{"reset+partial", resets, none},
+		{"1 crash", netfault.Config{}, crashBatch1},
+		{"resets+crash", resets, crashBatch1},
 	}
 	for _, cse := range cases {
-		c := dist.NewClusterWithFaults(buildGraph(w, false), a, 4, 64, cse.fc)
-		rounds := 0
-		failed := ""
-		for _, b := range w.Batches {
-			if err := c.ProcessBatchE(b); err != nil {
-				failed = err.Error()
-				break
-			}
-			rounds += c.LastRounds
+		reg := metrics.NewRegistry()
+		run := runSocketStream(w, workers, reg, cse.faults, cse.crash)
+		exact := "no"
+		if run.ok {
+			exact = "yes"
 		}
-		exact := "yes"
-		if failed != "" {
-			exact = "error"
-		} else {
-			for v, got := range c.Values() {
-				if got != refVals[v] && !(math.IsInf(got, 1) && math.IsInf(refVals[v], 1)) {
-					exact = "no"
-					break
-				}
-			}
-		}
-		m := cm
-		m.Faults = dist.FaultProfile{
-			DropRate: cse.fc.Drop, DupRate: cse.fc.Dup,
-			DelayRate: cse.fc.Delay, ExtraDelayNs: 5_000, AckBytes: 8,
-			Crashes: int(c.Stats.Crashes), DetectionNs: 1e6, ReplayFraction: 0.25,
-			CheckpointEvery: 4, CheckpointNsPerFlow: 200,
-		}
-		sim := dist.Simulate(tr, pl, m, true).MakespanNs / 1e6
-		t.AddRow(Str(cse.name), IntCell(rounds), Int64(int64(c.Stats.Retransmits)),
-			Int64(int64(c.Stats.Crashes)), Int64(int64(c.Stats.RecoveredVerts)),
-			Str(exact), Float(sim, 3))
+		t.AddRow(Str(cse.name), Float(float64(run.wall)/1e6, 1),
+			Int64(reg.Counter("dist.reconnects").Value()), Int64(reg.Counter("dist.retransmits").Value()),
+			IntCell(run.crashes), Str(exact))
 	}
 	return t
 }

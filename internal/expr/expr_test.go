@@ -144,10 +144,16 @@ func TestAblations(t *testing.T) {
 		}
 	}
 	// The fault-sensitivity ablation must stay bit-exact under every
-	// schedule it sweeps.
+	// schedule it sweeps, and each schedule must inject what it names.
 	for _, r := range tabs[4].Rows() {
 		if r[5] != "yes" {
 			t.Fatalf("%s: schedule %q not exact: %v", tabs[4].ID, r[0], r)
+		}
+		if strings.Contains(r[0], "crash") && r[4] == "0" {
+			t.Fatalf("%s: schedule %q landed no crash: %v", tabs[4].ID, r[0], r)
+		}
+		if strings.Contains(r[0], "reset") && r[2] == "0" {
+			t.Fatalf("%s: schedule %q forced no reconnect: %v", tabs[4].ID, r[0], r)
 		}
 	}
 }

@@ -240,9 +240,7 @@ func DecodeTaggedBatch(p []byte) (seq uint64, b graph.Batch, clientID string, cl
 // EncodeDistCheckpoint encodes a distributed worker's checkpoint payload:
 // the batch sequence the state is consistent with, followed by the state
 // section. It is the payload carried by KindDistCheckpoint frames inside
-// per-worker checkpoint files (internal/dist's socket runtime); the
-// Manager-side cluster checkpoint (dist.SaveCheckpoint) predates the seq
-// prefix and keeps its bare EncodeState payload.
+// per-worker checkpoint files (internal/dist's socket runtime).
 func EncodeDistCheckpoint(buf []byte, seq uint64, vals []float64, parent []int32) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	return EncodeState(buf, vals, parent)

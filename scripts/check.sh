@@ -2,11 +2,11 @@
 # Repo verification: formatting, build, vet, race-enabled tests, a
 # shuffled flake sweep over the fast packages, a short fuzz of the
 # snapshot/checkpoint decoders, a seeded WAL crash-recovery smoke, a
-# durable-CLI recovery smoke, a seeded chaos smoke run of the
-# fault-tolerant distributed runtime, a graphflyd serving smoke (concurrent
-# ingest+query, SIGTERM, restart, dump vs single-shot oracle), and a bench
-# smoke that emits and schema-validates the machine-readable report. Run
-# from anywhere.
+# durable-CLI recovery smoke, a seeded link-fault smoke of the distributed
+# runtime (output vs a single-machine run), a graphflyd serving smoke
+# (concurrent ingest+query, SIGTERM, restart, dump vs single-shot oracle),
+# and a bench smoke that emits and schema-validates the machine-readable
+# report. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,9 +66,17 @@ rm -rf "$waltmp"
 echo "== multi-process crash-restart smoke (3 workers, SIGKILL one, oracle-equal) =="
 timeout 300 go test -count=1 -run 'TestProcCrashRestartSmoke' ./internal/dist
 
-echo "== chaos smoke (seeded fault injection, distributed SSSP) =="
-go run ./cmd/graphfly -algo SSSP -dataset TT -nEdges 2000 -numberOfUpdateBatches 3 \
-    -nodes 4 -faults seed=7,drop=0.1,dup=0.05,delay=0.2,reorder=0.1,crash=0.01,maxcrashes=2,crashat=1:5:2
+echo "== chaos smoke (seeded link resets on the -nodes socket runtime, output vs oracle) =="
+nodestmp=$(mktemp -d)
+nodeargs=(-algo SSSP -dataset TT -nEdges 2000 -numberOfUpdateBatches 3)
+go build -o "$nodestmp/graphfly" ./cmd/graphfly
+"$nodestmp/graphfly" "${nodeargs[@]}" -nodes 4 \
+    -faults seed=7,reset=0.03,partial=0.02,delay=0.05,maxdelay=2ms,maxfaults=12 \
+    -outputFile "$nodestmp/nodes.txt" > "$nodestmp/nodes.out"
+grep -q '^faults: resets=[1-9]' "$nodestmp/nodes.out" # the fault path was exercised
+"$nodestmp/graphfly" "${nodeargs[@]}" -outputFile "$nodestmp/oracle.txt" > /dev/null
+cmp "$nodestmp/nodes.txt" "$nodestmp/oracle.txt"
+rm -rf "$nodestmp"
 
 echo "== graphflyd serving smoke (concurrent ingest+query, SIGTERM, restart, oracle) =="
 servetmp=$(mktemp -d)
